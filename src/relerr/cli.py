@@ -9,12 +9,12 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import criteria, evaluate, inference, simulate, solver
+from . import evaluate, inference, simulate
 from .data import Dataset
 from .errors import RelerrError
 from .solver import LinearHypothesis
 
-CRITERION_CHOICES = ("lpre", "lare", "ls", "lad", "gre:max", "gre:asym")
+CRITERION_CHOICES = tuple(inference.ESTIMATORS)
 
 
 def _fail(message: str, code: int):
@@ -45,35 +45,6 @@ def _read_csv_dataset(path: str, response: str) -> tuple[Dataset, list[str]]:
         raise RelerrError(f"{path}: non-numeric cell ({exc})")
     ones = np.ones((len(rows), 1))
     return Dataset(np.hstack([ones, x]), y), ["intercept"] + covariate_names
-
-
-def _fit_by_name(name: str, data: Dataset):
-    if name == "lpre":
-        return solver.fit_lpre(data)
-    if name == "lare":
-        return solver.fit_lare(data)
-    if name == "ls":
-        return solver.fit_ls_log(data)
-    if name == "lad":
-        return solver.fit_lad_log(data)
-    if name == "gre:max":
-        return solver.fit_gre(criteria.MAX, data)
-    if name == "gre:asym":
-        return solver.fit_gre(criteria.ASYMMETRIC, data)
-    raise RelerrError(f"unknown criterion {name!r}")
-
-
-def _covariance_by_name(name, fit, data, resamples, rng):
-    if name == "lpre":
-        return inference.sandwich_covariance(fit, data)
-    if name == "ls":
-        return inference.ols_log_covariance(fit, data)
-    if name == "lare":
-        return inference.random_weight_covariance("lare", data, resamples, rng)
-    if name == "lad":
-        return inference.random_weight_covariance("lad_log", data, resamples, rng)
-    crit = criteria.MAX if name == "gre:max" else criteria.ASYMMETRIC
-    return inference.random_weight_covariance(crit, data, resamples, rng)
 
 
 def _parse_hypothesis(zero_coefs, hypothesis_file, p):
@@ -108,9 +79,9 @@ def cmd_fit(input_path, response, criterion, output, seed, resamples, pvalue_kin
     """Fit one criterion and write estimate / SEE / p-value per coefficient."""
     try:
         data, names = _read_csv_dataset(input_path, response)
-        fit = _fit_by_name(criterion, data)
-        rng = np.random.default_rng(seed)
-        cov = _covariance_by_name(criterion, fit, data, resamples, rng)
+        est = inference.estimator(criterion)
+        fit = est.fit(data)
+        cov = est.covariance_of(fit, data, resamples, np.random.default_rng(seed))
         pvals = inference.wald_p_values(fit, cov, two_sided=pvalue_kind == "two-sided")
         sees = cov.standard_errors()
         try:

@@ -1,10 +1,26 @@
-"""Criterion functions for multiplicative regression.
+"""The criteria table for multiplicative regression.
 
-Implements the product relative-error criterion (smooth, strictly
-convex) with exact gradient and Hessian, the additive relative-error
-criterion, a pluggable general relative-error family g(a, b), and the
-log-scale least-squares / least-absolute-deviation criteria used as
-competitors.
+Every criterion the package fits is a sum of one convex loss rho applied
+to the log residuals r_i = log y_i - x_i'beta.  Each row of the table
+splits rho into a kink and a smooth part,
+
+    rho(r) = kink * |r| + sigma(r),
+
+with kink >= 0 and sigma convex and twice continuously differentiable.
+The relative-error criteria g(a, b) of the two relative errors
+a = |y - yhat| / y = |1 - e^{-r}| and b = |y - yhat| / yhat = |e^r - 1|
+reduce to this form:
+
+    criterion    g(a, b)          kink   sigma(r)
+    product      a * b            0      2 (cosh r - 1)
+    sum          a + b            2      2 sinh|r| - 2|r|
+    max          max(a, b)        1      e^{|r|} - 1 - |r|
+    asymmetric   a + e^b - 1      2      rho(r) - 2|r|   (rho'' = 1 at 0)
+    ls_log       (log scale)      0      r^2
+    lad_log      (log scale)      1      0
+
+The product criterion (LPRE) keeps its exact gradient and Hessian in
+beta; the solver in ``solver`` minimizes any row.
 """
 
 from __future__ import annotations
@@ -17,28 +33,90 @@ import numpy as np
 from .data import Dataset, check_beta
 from .errors import NumericOverflowError
 
-# exp() overflows near 709.8; clamp a bit below and treat anything past
-# the clamp as a hard overflow in reported values.
+# exp() overflows near 709.8; predictions past this exponent are refused.
 EXP_BOUND = 700.0
 
 
-def linear_predictor(beta: np.ndarray, data: Dataset) -> np.ndarray:
-    """x @ beta with an explicit overflow check on the exponent."""
-    beta = check_beta(beta, data)
-    eta = data.x @ beta
-    if np.any(np.abs(eta) > EXP_BOUND):
-        raise NumericOverflowError(
-            "linear predictor exceeds exp() range (|x'beta| > 700)"
-        )
-    return eta
+@dataclass(frozen=True)
+class GreCriterion:
+    """One row of the criteria table: rho(r) = kink * |r| + sigma(r).
+
+    ``sigma`` maps an array of log residuals to (sigma, sigma', sigma''),
+    each vectorized; sigma must be convex and twice continuously
+    differentiable, and sigma(0) = sigma'(0) = 0.
+    """
+
+    name: str
+    kink: float
+    sigma: Callable[[np.ndarray], tuple] = field(repr=False)
+
+    def rho(self, r: np.ndarray) -> np.ndarray:
+        """The loss of each log residual (inf where it overflows)."""
+        with np.errstate(over="ignore"):
+            return self.kink * np.abs(r) + self.sigma(r)[0]
 
 
-def _relative_errors(beta, data):
-    """The two relative-error magnitudes (|y-yhat|/y, |y-yhat|/yhat)."""
-    eta = linear_predictor(beta, data)
-    yhat = np.exp(eta)
-    resid = data.y - yhat
-    return np.abs(resid) / data.y, np.abs(resid) / yhat
+def _product_sigma(r):
+    t, u = np.exp(r), np.exp(-r)  # y e^{-x'b} and e^{x'b} / y
+    return t + u - 2.0, t - u, t + u
+
+
+def _sum_sigma(r):
+    a = np.abs(r)
+    s = np.sinh(a)
+    return 2.0 * (s - a), 2.0 * np.sign(r) * (np.cosh(a) - 1.0), 2.0 * s
+
+
+def _max_sigma(r):
+    a = np.abs(r)
+    e = np.exp(a)
+    return e - 1.0 - a, np.sign(r) * (e - 1.0), e
+
+
+def _asymmetric_sigma(r):
+    s = np.sign(r)
+    t, u = np.exp(r), np.exp(-r)
+    eb = np.exp(np.abs(t - 1.0))  # e^b
+    value = np.abs(1.0 - u) + eb - 1.0 - 2.0 * np.abs(r)
+    return value, s * (u + t * eb - 2.0), t * t * eb + s * (t * eb - u)
+
+
+def _ls_sigma(r):
+    return r * r, 2.0 * r, np.full_like(r, 2.0)
+
+
+def _lad_sigma(r):
+    zero = np.zeros_like(r)
+    return zero, zero, zero
+
+
+PRODUCT = GreCriterion("product", 0.0, _product_sigma)
+SUM = GreCriterion("sum", 2.0, _sum_sigma)
+MAX = GreCriterion("max", 1.0, _max_sigma)
+ASYMMETRIC = GreCriterion("asymmetric", 2.0, _asymmetric_sigma)
+
+CRITERIA = {c.name: c for c in (
+    PRODUCT, SUM, MAX, ASYMMETRIC,
+    GreCriterion("ls_log", 0.0, _ls_sigma),
+    GreCriterion("lad_log", 1.0, _lad_sigma),
+)}
+
+
+def log_residuals(beta: np.ndarray, data: Dataset) -> np.ndarray:
+    """r = log y - x'beta."""
+    return np.log(data.y) - data.x @ check_beta(beta, data)
+
+
+def gre_loss(criterion: GreCriterion, beta: np.ndarray, data: Dataset) -> float:
+    """General criterion sum_i rho(r_i); inf where rho overflows, which is
+    the right answer for a wildly wrong fit."""
+    return float(np.sum(criterion.rho(log_residuals(beta, data))))
+
+
+def _finite(values, what):
+    if not np.all(np.isfinite(values)):
+        raise NumericOverflowError(f"{what} is not finite at this beta")
+    return values
 
 
 def lpre_loss(beta: np.ndarray, data: Dataset) -> float:
@@ -46,79 +124,36 @@ def lpre_loss(beta: np.ndarray, data: Dataset) -> float:
 
     Equals sum_i { y_i e^{-x_i'b} + y_i^{-1} e^{x_i'b} - 2 }, which is
     identical to the product of the two relative errors summed over i.
-    Zero iff the fit is exact.
+    Zero iff the fit is exact; NumericOverflowError where it overflows,
+    as for every named loss below.
     """
-    eta = linear_predictor(beta, data)
-    return float(np.sum(data.y * np.exp(-eta) + np.exp(eta) / data.y - 2.0))
+    return _finite(gre_loss(PRODUCT, beta, data), "product criterion")
 
 
 def lpre_gradient(beta: np.ndarray, data: Dataset) -> np.ndarray:
     """Exact gradient of ``lpre_loss`` with respect to beta."""
-    eta = linear_predictor(beta, data)
-    w = -data.y * np.exp(-eta) + np.exp(eta) / data.y
-    return data.x.T @ w
+    with np.errstate(over="ignore"):
+        _, d1, _ = _product_sigma(log_residuals(beta, data))
+    return _finite(-(data.x.T @ d1), "product criterion gradient")
 
 
 def lpre_hessian(beta: np.ndarray, data: Dataset) -> np.ndarray:
     """Exact Hessian of ``lpre_loss``; positive definite for full-rank designs."""
-    eta = linear_predictor(beta, data)
-    w = data.y * np.exp(-eta) + np.exp(eta) / data.y
-    return (data.x * w[:, None]).T @ data.x
+    with np.errstate(over="ignore"):
+        _, _, d2 = _product_sigma(log_residuals(beta, data))
+    return _finite((data.x * d2[:, None]).T @ data.x, "product criterion Hessian")
 
 
 def lare_loss(beta: np.ndarray, data: Dataset) -> float:
     """Additive relative-error criterion (sum of the two relative errors)."""
-    a, b = _relative_errors(beta, data)
-    return float(np.sum(a + b))
-
-
-@dataclass(frozen=True)
-class GreCriterion:
-    """A bivariate loss g(a, b) applied to the two relative errors.
-
-    ``loss`` must be vectorized, nonnegative with g(0, 0) = 0, and
-    nondecreasing in each argument.  ``smooth`` marks criteria that are
-    twice differentiable in beta (true for the product loss only).
-    """
-
-    name: str
-    loss: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
-    smooth: bool = False
-
-
-PRODUCT = GreCriterion("product", lambda a, b: a * b, smooth=True)
-SUM = GreCriterion("sum", lambda a, b: a + b)
-MAX = GreCriterion("max", np.maximum)
-# shifted so the loss vanishes on an exact fit
-ASYMMETRIC = GreCriterion("asymmetric", lambda a, b: a + np.exp(b) - 1.0)
-
-CRITERIA = {c.name: c for c in (PRODUCT, SUM, MAX, ASYMMETRIC)}
-
-
-def gre_loss(criterion: GreCriterion, beta: np.ndarray, data: Dataset) -> float:
-    """General relative-error criterion sum_i g(a_i, b_i)."""
-    a, b = _relative_errors(beta, data)
-    # exp(b) may overflow to inf for wildly wrong fits; inf is the right answer
-    with np.errstate(over="ignore"):
-        return float(np.sum(criterion.loss(a, b)))
+    return _finite(gre_loss(SUM, beta, data), "sum criterion")
 
 
 def ls_log_loss(beta: np.ndarray, data: Dataset) -> float:
     """Sum of squared residuals of log y on x'beta."""
-    beta = check_beta(beta, data)
-    r = np.log(data.y) - data.x @ beta
-    return float(r @ r)
+    return _finite(gre_loss(CRITERIA["ls_log"], beta, data), "ls_log criterion")
 
 
 def lad_log_loss(beta: np.ndarray, data: Dataset) -> float:
     """Sum of absolute residuals of log y on x'beta."""
-    beta = check_beta(beta, data)
-    r = np.log(data.y) - data.x @ beta
-    return float(np.sum(np.abs(r)))
-
-
-def loss_terms(criterion: GreCriterion, beta: np.ndarray, data: Dataset) -> np.ndarray:
-    """Per-observation loss values g(a_i, b_i); used by weighted resampling."""
-    a, b = _relative_errors(beta, data)
-    with np.errstate(over="ignore"):
-        return np.asarray(criterion.loss(a, b), dtype=float)
+    return _finite(gre_loss(CRITERIA["lad_log"], beta, data), "lad_log criterion")

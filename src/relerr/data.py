@@ -34,6 +34,8 @@ class Dataset:
             raise ValueError("need at least one row and one column")
         if y.shape[0] != n:
             raise ValueError(f"x has {n} rows but y has length {y.shape[0]}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("x and y must be finite (no NaN or infinity)")
         if not np.all(y > 0):
             raise ValueError("all responses must be strictly positive")
         if not np.all(x[:, 0] == 1.0):

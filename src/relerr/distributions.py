@@ -1,9 +1,12 @@
 """Error laws for the multiplicative model.
 
-Covers the four inverse-transformation-invariant efficiency densities
-(each of the form c * exp(-g(|1-x|, |1-1/x|) - log x) on x > 0 for one
-of the shipped losses), plus log-uniform, log-normal, uniform, and a
-degenerate point mass at 1.  Provides normalizing constants and moments
+Covers four inverse-transformation-invariant efficiency densities, each
+of the form c * exp(-g(|1-x|, |1-1/x|) - log x) on x > 0, which makes
+sum g the exact negative log-likelihood.  Three belong to shipped
+criteria (lpre_efficient: product, lare_efficient: sum, max_efficient:
+max); ls_like_efficient uses g = a^2 + b^2, which no shipped criterion
+minimizes, and the asymmetric criterion has none.  Also log-uniform,
+log-normal, uniform, and a degenerate point mass at 1.  Provides normalizing constants and moments
 by adaptive quadrature and rejection samplers with a log-normal
 envelope.
 """

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import inference, solver
+from . import inference
 from .criteria import EXP_BOUND
 from .data import Dataset
 from .errors import NumericOverflowError, RelerrError
@@ -102,29 +102,8 @@ def evaluate_split(
     test_y: np.ndarray,
 ) -> PredictionMetrics:
     """Fit one method on the training data and score the test block."""
-    fit = _fit_method(method, train)
+    fit = inference.estimator(method).fit(train)
     return prediction_metrics(test_y, predict_many(fit, test_x))
-
-
-def _fit_method(method: str, data: Dataset) -> FitResult:
-    if method == "lpre":
-        return solver.fit_lpre(data)
-    if method == "lare":
-        return solver.fit_lare(data)
-    if method == "ls":
-        return solver.fit_ls_log(data)
-    if method == "lad":
-        return solver.fit_lad_log(data)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _method_covariance(method, fit, data, resamples, rng):
-    if method == "lpre":
-        return inference.sandwich_covariance(fit, data)
-    if method == "ls":
-        return inference.ols_log_covariance(fit, data)
-    kind = "lare" if method == "lare" else "lad_log"
-    return inference.random_weight_covariance(kind, data, resamples, rng)
 
 
 def _read_bodyfat_csv(csv_path, columns):
@@ -192,8 +171,9 @@ def bodyfat_pipeline(
     metric_rows = []
     for method in methods:
         rng = np.random.default_rng(seed)  # one fixed stream per method
-        fit = _fit_method(method, train)
-        cov = _method_covariance(method, fit, train, resamples, rng)
+        entry = inference.estimator(method)
+        fit = entry.fit(train)
+        cov = entry.covariance_of(fit, train, resamples, rng)
         pvals = inference.wald_p_values(fit, cov)
         sees = cov.standard_errors()
         for name, est, see, p in zip(names, fit.beta, sees, pvals):

@@ -1,9 +1,15 @@
-"""Inference for relative-error fits.
+"""Inference for relative-error fits, and the estimator registry.
 
 Plug-in sandwich covariance for the smooth product criterion, Wald-style
 p-values, the criterion-difference test with its chi-squared scale, and
 random-weighting resampling for estimators whose asymptotic variance
 would otherwise require density estimation.
+
+``ESTIMATORS`` is the one registry of estimators: each entry names a row
+of the criteria table and how its covariance is estimated (sandwich for
+LPRE, OLS for log-scale LS, random weighting otherwise).  The CLI, the
+Monte Carlo studies and the prediction pipeline all look estimators up
+there.
 """
 
 from __future__ import annotations
@@ -44,18 +50,24 @@ class TestResult:
     p_value: float
 
 
+def _require_residual_dof(data: Dataset):
+    if data.n <= data.p:
+        raise RelerrError(
+            f"inference needs more observations than coefficients "
+            f"(n = {data.n}, p = {data.p}): no residual degrees of freedom")
+
+
 def sandwich_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
     """Plug-in sandwich covariance D^{-1} V D^{-1} / n at the fitted point.
 
     D is the average Hessian weight matrix and V the average squared-score
     matrix; both use the sample analogue evaluated at beta-hat.
     """
-    eta = data.x @ fit.beta
-    t = data.y * np.exp(-eta)      # eps-hat
-    u = np.exp(eta) / data.y       # 1 / eps-hat
+    _require_residual_dof(data)
+    _, score, curvature = criteria.PRODUCT.sigma(criteria.log_residuals(fit.beta, data))
     n = data.n
-    d_hat = (data.x * (t + u)[:, None]).T @ data.x / n
-    v_hat = (data.x * ((t - u) ** 2)[:, None]).T @ data.x / n
+    d_hat = (data.x * curvature[:, None]).T @ data.x / n
+    v_hat = (data.x * (score**2)[:, None]).T @ data.x / n
     try:
         d_inv = scipy.linalg.inv(d_hat)
     except scipy.linalg.LinAlgError as exc:
@@ -68,9 +80,9 @@ def sandwich_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
 
 def ols_log_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
     """Classical OLS covariance of the log-scale LS fit: s^2 (X'X)^{-1}."""
-    r = np.log(data.y) - data.x @ fit.beta
-    dof = max(data.n - data.p, 1)
-    s2 = float(r @ r) / dof
+    _require_residual_dof(data)
+    r = criteria.log_residuals(fit.beta, data)
+    s2 = float(r @ r) / (data.n - data.p)
     xtx_inv = scipy.linalg.inv(data.x.T @ data.x)
     return CovarianceEstimate(cov=s2 * xtx_inv, method="plugin_sandwich")
 
@@ -105,13 +117,11 @@ def _khat(fit_beta: np.ndarray, data: Dataset) -> float:
     log-likelihood, so K must equal 1/2 there; this form does, and its
     reciprocal does not.
     """
-    eta = data.x @ fit_beta
-    t = data.y * np.exp(-eta)
-    u = np.exp(eta) / data.y
-    num = float(np.sum((t - u) ** 2))
+    eps_hat = np.exp(criteria.log_residuals(fit_beta, data))
+    num = float(np.sum((eps_hat - 1.0 / eps_hat) ** 2))
     if num <= 0:
         raise RelerrError("chi-squared scale undefined: all residual ratios are 1")
-    return num / (4.0 * float(np.sum(t)))
+    return num / (4.0 * float(np.sum(eps_hat)))
 
 
 def lpre_anova_test(
@@ -125,6 +135,7 @@ def lpre_anova_test(
     criterion; under H0 it is asymptotically K * chi2(q) with K estimated
     by its plug-in formula at the unconstrained fit.
     """
+    _require_residual_dof(data)
     opts = opts or SolverOptions()
     free = solver.fit_lpre(data, opts)
     constrained = solver.fit_constrained_lpre(data, hypothesis, opts)
@@ -134,25 +145,40 @@ def lpre_anova_test(
     return TestResult(statistic=stat, df=hypothesis.q, scale=k_hat, p_value=p_value)
 
 
-_WEIGHTED_FITTERS = {
-    "lpre": lambda data, opts, w: solver.fit_lpre(data, opts, weights=w),
-    "lare": lambda data, opts, w: solver.fit_lare(data, opts, weights=w),
-    "ls_log": lambda data, opts, w: solver.fit_ls_log(data, weights=w),
-    "lad_log": lambda data, opts, w: solver.fit_lad_log(data, opts, weights=w),
-}
-
-
-def _resolve_fitter(estimator):
+def _criterion(estimator) -> GreCriterion:
+    """The criterion of a registry name, a criterion name or a criterion."""
     if isinstance(estimator, GreCriterion):
-        crit = estimator
-        return lambda data, opts, w: solver.fit_gre(crit, data, opts, weights=w)
-    try:
-        return _WEIGHTED_FITTERS[estimator]
-    except KeyError:
-        raise ValueError(
-            f"unknown estimator kind {estimator!r}; expected one of "
-            f"{sorted(_WEIGHTED_FITTERS)} or a GreCriterion"
-        ) from None
+        return estimator
+    if estimator in ESTIMATORS:
+        return ESTIMATORS[estimator].criterion
+    if estimator in criteria.CRITERIA:
+        return criteria.CRITERIA[estimator]
+    raise ValueError(
+        f"unknown estimator kind {estimator!r}; expected one of "
+        f"{sorted(ESTIMATORS)}, {sorted(criteria.CRITERIA)} or a GreCriterion")
+
+
+def _resample(statistic, data: Dataset, n_resample: int, rng, what: str):
+    """statistic(w) for n_resample draws of i.i.d. standard exponential
+    weights.  A fit that fails (no certificate, or a singular design) is
+    retried once with fresh weights, then skipped; more than 10% skips
+    raise ResamplingError.  Returns (values, skipped)."""
+    values = []
+    skipped = 0
+    for _ in range(n_resample):
+        for _attempt in range(2):
+            w = rng.standard_exponential(data.n)
+            try:
+                values.append(statistic(w))
+                break
+            except (ConvergenceError, SingularDesignError):
+                continue
+        else:
+            skipped += 1
+    if skipped > 0.1 * n_resample:
+        raise ResamplingError(
+            f"{skipped}/{n_resample} resample fits failed; {what} unreliable")
+    return values, skipped
 
 
 def random_weight_covariance(
@@ -164,40 +190,25 @@ def random_weight_covariance(
 ) -> CovarianceEstimate:
     """Random-weighting covariance of an estimator.
 
-    Re-minimizes the criterion n_resample times with i.i.d. standard
-    exponential (unit mean, unit variance) per-observation weights and
-    returns the empirical covariance of the re-estimates.  A failed
-    resample fit is retried once with fresh weights, then skipped; more
-    than 10% skips aborts.
+    ``estimator`` is a registry name ("lpre", "lare", ...), a criterion
+    name ("ls_log", "lad_log", ...) or a criterion.  Re-minimizes the
+    criterion n_resample times with i.i.d. standard exponential (unit
+    mean, unit variance) per-observation weights and returns the
+    empirical covariance of the re-estimates.  A failed resample fit is
+    retried once with fresh weights, then skipped and counted in
+    ``n_skipped``; more than 10% skips aborts.
     """
     if n_resample < 2:
         raise ValueError("need at least two resamples")
+    criterion = _criterion(estimator)
+    _require_residual_dof(data)
     rng = rng if rng is not None else np.random.default_rng()
-    fitter = _resolve_fitter(estimator)
     opts = opts or SolverOptions()
 
-    estimates = []
-    skipped = 0
-    for _ in range(n_resample):
-        beta = None
-        for _attempt in range(2):
-            w = rng.standard_exponential(data.n)
-            try:
-                beta = fitter(data, opts, w).beta
-                break
-            except (ConvergenceError, SingularDesignError):
-                continue
-        if beta is None:
-            skipped += 1
-        else:
-            estimates.append(beta)
-    if skipped > 0.1 * n_resample:
-        raise ResamplingError(
-            f"{skipped}/{n_resample} resample fits failed; covariance unreliable"
-        )
-    stacked = np.array(estimates)
-    cov = np.cov(stacked, rowvar=False)
-    cov = np.atleast_2d(cov)
+    estimates, skipped = _resample(
+        lambda w: solver.fit_gre(criterion, data, opts, weights=w).beta,
+        data, n_resample, rng, "covariance")
+    cov = np.atleast_2d(np.cov(np.array(estimates), rowvar=False))
     return CovarianceEstimate(cov=cov, method="random_weighting", n_skipped=skipped)
 
 
@@ -218,82 +229,62 @@ def gre_anova_test(
     null.  The p-value is the empirical upper-tail probability; the
     reported scale is the mean calibrated statistic divided by q.
     """
+    _require_residual_dof(data)
     rng = rng if rng is not None else np.random.default_rng()
     opts = opts or SolverOptions()
 
     def criterion_difference(weights):
-        if criterion.name == "product":
-            free = solver.fit_lpre(data, opts, weights=weights)
-            constrained = solver.fit_constrained_lpre(
-                data, hypothesis, opts, weights=weights)
-        else:
-            free = solver.fit_gre(criterion, data, opts, weights=weights)
-            constrained = _fit_gre_constrained(
-                criterion, data, hypothesis, opts, weights)
+        free = solver.fit_gre(criterion, data, opts, weights)
+        constrained = solver.fit_gre(criterion, data, opts, weights, hypothesis)
         return max(constrained.criterion_value - free.criterion_value, 0.0)
 
     observed = criterion_difference(None)
-    null_draws = []
-    skipped = 0
-    for _ in range(n_resample):
-        stat = None
-        for _attempt in range(2):
-            w = rng.standard_exponential(data.n)
-            try:
-                stat = criterion_difference(w)
-                break
-            except (ConvergenceError, SingularDesignError):
-                continue
-        if stat is None:
-            skipped += 1
-        else:
-            null_draws.append(max(stat - observed, 0.0))
-    if skipped > 0.1 * n_resample:
-        raise ResamplingError(
-            f"{skipped}/{n_resample} resample fits failed; calibration unreliable"
-        )
-    null_draws = np.asarray(null_draws)
+    stats, _ = _resample(criterion_difference, data, n_resample, rng, "calibration")
+    null_draws = np.maximum(np.asarray(stats) - observed, 0.0)
     p_value = float((1 + np.sum(null_draws >= observed)) / (1 + null_draws.size))
     scale = float(np.mean(null_draws)) / hypothesis.q
     return TestResult(statistic=observed, df=hypothesis.q,
                       scale=scale, p_value=p_value)
 
 
-def _fit_gre_constrained(criterion, data, hypothesis, opts, weights):
-    """Nelder-Mead on the null-space parametrization of a GRE criterion."""
-    import math
+@dataclass(frozen=True)
+class Estimator:
+    """A registry entry: the criterion an estimator minimizes and how its
+    covariance is estimated ("sandwich", "ols" or "random_weighting")."""
 
-    import scipy.optimize
+    criterion: GreCriterion
+    covariance: str
 
-    if hypothesis.q == data.p:
-        beta = np.zeros(data.p)
-        val = criteria.gre_loss(criterion, beta, data) if weights is None else float(
-            np.sum(weights * criteria.loss_terms(criterion, beta, data)))
-        return FitResult(beta, val, float("nan"), 0, True, criterion.name)
-    basis = hypothesis.null_basis()
-    xb = data.x @ basis
+    def fit(self, data: Dataset, opts: Optional[SolverOptions] = None) -> FitResult:
+        return solver.fit_gre(self.criterion, data, opts)
 
-    def objective(gamma):
-        eta = xb @ gamma
-        if np.any(np.abs(eta) > criteria.EXP_BOUND):
-            return math.inf
-        yhat = np.exp(eta)
-        resid = data.y - yhat
-        terms = criterion.loss(np.abs(resid) / data.y, np.abs(resid) / yhat)
-        if weights is not None:
-            terms = terms * weights
-        return float(np.sum(terms))
+    def covariance_of(self, fit: FitResult, data: Dataset, resamples: int,
+                      rng: np.random.Generator) -> CovarianceEstimate:
+        """Covariance of ``fit``; only random weighting draws from ``rng``."""
+        if self.covariance == "sandwich":
+            return sandwich_covariance(fit, data)
+        if self.covariance == "ols":
+            return ols_log_covariance(fit, data)
+        return random_weight_covariance(self.criterion, data, resamples, rng)
 
-    # start from the projection of the log-scale LS fit onto the null space
-    start = basis.T @ solver.fit_ls_log(data, weights).beta
-    best = None
-    for gamma0 in (start, np.zeros(basis.shape[1])):
-        res = scipy.optimize.minimize(
-            objective, gamma0, method="Nelder-Mead",
-            options={"maxiter": opts.max_iterations_nonsmooth,
-                     "xatol": 1e-9, "fatol": 1e-12},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return FitResult(basis @ best.x, float(best.fun), float("nan"),
-                     int(best.nit), bool(best.success), criterion.name)
+
+#: every estimator, by the names the CLI, the study configs and the
+#: prediction pipeline use
+ESTIMATORS = {
+    "lpre": Estimator(criteria.PRODUCT, "sandwich"),
+    "lare": Estimator(criteria.SUM, "random_weighting"),
+    "ls": Estimator(criteria.CRITERIA["ls_log"], "ols"),
+    "lad": Estimator(criteria.CRITERIA["lad_log"], "random_weighting"),
+    "gre:max": Estimator(criteria.MAX, "random_weighting"),
+    "gre:asym": Estimator(criteria.ASYMMETRIC, "random_weighting"),
+}
+
+
+def estimator(name: str) -> Estimator:
+    """The registry entry for ``name``; ValueError if there is none."""
+    try:
+        return ESTIMATORS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown estimator {name!r}; expected one of {sorted(ESTIMATORS)}"
+        ) from None

@@ -8,25 +8,30 @@ coefficient vectors.
 
 Determinism contract: the per-replication RNG stream is derived from
 (seed, replication index), so results are identical for any execution
-order or worker count.
+order or worker count.  Failed replications are skipped and logged as
+one warning on the ``relerr`` logger.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import csv
+import logging
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import inference, solver
+from . import inference
 from .data import Dataset
 from .distributions import ErrorLaw, Sampler
-from .errors import ConvergenceError, RelerrError, SingularDesignError
+from .errors import RelerrError
 from .solver import LinearHypothesis
 
-ESTIMATORS = ("lpre", "lare", "ls", "lad")
+_log = logging.getLogger("relerr")
+
+DEFAULT_ESTIMATORS = ("lpre", "lare", "ls", "lad")
 
 METRICS_HEADER = "estimator,coef,bias,se,see,cp"
 POWER_HEADER = "beta0,beta1,beta2,alpha,reject_rate"
@@ -39,7 +44,7 @@ class SimulationConfig:
     n: int = 200
     replications: int = 1000
     resample_size: int = 500
-    estimators: tuple = ESTIMATORS
+    estimators: tuple = DEFAULT_ESTIMATORS
     seed: int = 0
     compute_see: bool = True
 
@@ -50,7 +55,7 @@ class SimulationConfig:
             raise ValueError("sample size must be at least the parameter dimension")
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        unknown = set(self.estimators) - set(ESTIMATORS)
+        unknown = set(self.estimators) - set(inference.ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
 
@@ -95,33 +100,23 @@ def _estimation_rep(config: SimulationConfig, rep: int):
     rng = _rep_rng(config.seed, rep)
     data = generate_dataset(config, rng)
     out = {}
-    for est in config.estimators:
-        if est == "lpre":
-            fit = solver.fit_lpre(data)
-            see = (inference.sandwich_covariance(fit, data).standard_errors()
-                   if config.compute_see else None)
-        elif est == "ls":
-            fit = solver.fit_ls_log(data)
-            see = (inference.ols_log_covariance(fit, data).standard_errors()
-                   if config.compute_see else None)
-        elif est == "lare":
-            fit = solver.fit_lare(data)
-            see = (inference.random_weight_covariance(
-                "lare", data, config.resample_size, rng).standard_errors()
-                if config.compute_see else None)
-        else:  # lad
-            fit = solver.fit_lad_log(data)
-            see = (inference.random_weight_covariance(
-                "lad_log", data, config.resample_size, rng).standard_errors()
-                if config.compute_see else None)
-        out[est] = (fit.beta, see)
+    for name in config.estimators:
+        est = inference.ESTIMATORS[name]
+        fit = est.fit(data)
+        see = (est.covariance_of(fit, data, config.resample_size, rng).standard_errors()
+               if config.compute_see else None)
+        out[name] = (fit.beta, see)
     return out
 
 
 def _run_reps(task, config, n_jobs):
-    """Run one task(config, rep) per replication, skipping failed reps."""
+    """Run one task(config, rep) per replication, skipping failed reps.
+
+    Failed replications are logged as one warning on the ``relerr``
+    logger; more than 1% of them raise RelerrError.
+    """
     results = {}
-    failures = 0
+    failures = collections.Counter()
     reps = range(config.replications)
     if n_jobs and n_jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -130,27 +125,31 @@ def _run_reps(task, config, n_jobs):
                 rep = futures[fut]
                 try:
                     results[rep] = fut.result()
-                except (ConvergenceError, SingularDesignError, RelerrError):
-                    failures += 1
+                except RelerrError as exc:
+                    failures[type(exc).__name__] += 1
     else:
         for rep in reps:
             try:
                 results[rep] = task(config, rep)
-            except (ConvergenceError, SingularDesignError, RelerrError):
-                failures += 1
-    if failures > 0.01 * config.replications:
+            except RelerrError as exc:
+                failures[type(exc).__name__] += 1
+    failed = sum(failures.values())
+    if failed:
+        _log.warning("%d/%d replications failed (%s)", failed, config.replications,
+                     ", ".join(f"{kind}: {count}" for kind, count in sorted(failures.items())))
+    if failed > 0.01 * config.replications:
         raise RelerrError(
-            f"{failures}/{config.replications} replications failed"
+            f"{failed}/{config.replications} replications failed"
         )
     # order-independent: aggregate in replication order
-    return [results[rep] for rep in sorted(results)], failures
+    return [results[rep] for rep in sorted(results)]
 
 
 def run_estimation_study(
     config: SimulationConfig, n_jobs: Optional[int] = None
 ) -> list[MetricsRow]:
     """Bias / SE / SEE / 95% coverage per estimator and coefficient."""
-    reps, _ = _run_reps(_estimation_rep, config, n_jobs)
+    reps = _run_reps(_estimation_rep, config, n_jobs)
     beta_true = np.asarray(config.beta_true)
     rows = []
     for est in config.estimators:
@@ -202,8 +201,7 @@ def run_power_study(
         # distinct seed stream per grid point, still fully deterministic
         cfg = replace(config, beta_true=tuple(beta), seed=config.seed + 1_000_003 * g)
         task = _PowerTask(cfg, zero_coefs)
-        pvals, _ = _run_reps(task, cfg, n_jobs)
-        pvals = np.asarray(pvals)
+        pvals = np.asarray(_run_reps(task, cfg, n_jobs))
         for alpha in alpha_levels:
             rows.append(PowerRow(tuple(float(b) for b in beta), float(alpha),
                                  float(np.mean(pvals < alpha))))

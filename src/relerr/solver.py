@@ -1,46 +1,76 @@
-"""Solvers for the relative-error criteria.
+"""One solver for every criterion in the criteria table.
 
-Damped Newton with backtracking for the smooth product criterion,
-closed-form normal equations for log-scale least squares, smoothed IRLS
-for log-scale LAD, and restarted Nelder-Mead for the nonsmooth general
-criteria.  Constrained fits reparametrize onto an orthonormal basis of
-the hypothesis null space.
+Damped Newton with Armijo backtracking minimizes sum_i w_i rho(r_i) over
+the log residuals r = log y - x'beta, for any row rho = kink * |r| +
+sigma(r) of ``criteria``.  Without a kink this is plain Newton on a
+smooth convex function.  With one, |r| is replaced by the convex
+smoothing sqrt(r^2 + eps^2) - eps, and eps follows ``EPS_SCHEDULE``
+from 1e-1 down to 1e-10, each stage starting where the last one ended
+and taking at most ``SolverOptions.max_iterations`` Newton steps.
+
+A fit is returned only with an optimality certificate no larger than
+``SolverOptions.tol_gradient`` -- or, where the gradient's terms are so
+large that rounding alone leaves more, no larger than 1000 rounding
+units of their summed magnitudes.  It is reported as
+``FitResult.gradient_norm``:
+
+* without a kink, the norm of the gradient;
+* with a kink, the KKT residual: the norm of the subgradient of the
+  unsmoothed criterion, with the multipliers of the residuals at the
+  kink (|r| <= 1e-4) chosen in [-1, 1] by least squares.
+
+Anything else raises ``ConvergenceError`` with the best iterate attached.
+Constrained fits run the same solver on the design x @ B, with B an
+orthonormal basis of the hypothesis null space.  Every fit starts from
+the (weighted) least-squares fit of log y on its design, or from
+``SolverOptions.initial_beta``; if the criterion overflows there, from
+the intercept alone at max log y.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import criteria
+from .criteria import GreCriterion
 from .data import Dataset, check_beta
 from .errors import ConvergenceError, NumericOverflowError, SingularDesignError
 
+#: smoothing widths of |r| followed, in order, for a criterion with a kink
+EPS_SCHEDULE = tuple(10.0 ** -k for k in range(1, 11))
 ARMIJO_C = 1e-4
-IRLS_SMOOTHING = 1e-8
+# Residuals this close to 0 are at the kink in the certificate.  Off it,
+# the smoothed slope r / sqrt(r^2 + eps^2) of the last stage is within
+# 5e-13 of sign(r), so the smoothing leaves nothing the certificate sees.
+_AT_KINK = 1e6 * EPS_SCHEDULE[-1]
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """``tol_gradient`` bounds the certificate (see the module docstring),
+    ``max_iterations`` the Newton steps of each smoothing stage, and
+    ``initial_beta`` replaces the least-squares start."""
+
     tol_gradient: float = 1e-10
     max_iterations: int = 100
-    max_iterations_nonsmooth: int = 5000
     initial_beta: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.tol_gradient <= 0:
             raise ValueError("tol_gradient must be positive")
-        if self.max_iterations < 1 or self.max_iterations_nonsmooth < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted criterion; ``gradient_norm`` is its optimality certificate
+    (the gradient norm, or the KKT residual for a criterion with a kink)."""
+
     beta: np.ndarray
     criterion_value: float
     gradient_norm: float
@@ -119,91 +149,192 @@ def _require_full_rank(data: Dataset):
         )
 
 
-def fit_ls_log(data: Dataset, weights: Optional[np.ndarray] = None) -> FitResult:
-    """Least squares of log y on x, solved exactly by the normal equations."""
-    _require_full_rank(data)
-    logy = np.log(data.y)
-    if weights is None:
-        beta, *_ = np.linalg.lstsq(data.x, logy, rcond=None)
-    else:
-        sw = np.sqrt(weights)
-        beta, *_ = np.linalg.lstsq(data.x * sw[:, None], logy * sw, rcond=None)
-    r = logy - data.x @ beta
-    w = weights if weights is not None else 1.0
-    return FitResult(
-        beta=beta,
-        criterion_value=float(np.sum(w * r * r)),
-        gradient_norm=0.0,
-        iterations=1,
-        converged=True,
-        criterion="ls_log",
-    )
+class _Problem:
+    """sum_i w_i rho(z_i - x_i'beta) and its smoothed versions."""
+
+    def __init__(self, criterion: GreCriterion, x, z, w):
+        self.kink = criterion.kink
+        self.sigma = criterion.sigma
+        self.x, self.z, self.w = x, z, w
+
+    def value(self, beta, eps) -> float:
+        """Smoothed criterion at beta; inf where it overflows."""
+        return self._evaluate(beta, eps)[0]
+
+    def gradient_norm(self, beta, eps) -> float:
+        _, _, d1, _ = self._evaluate(beta, eps)
+        norm = float(np.linalg.norm(self.x.T @ (self.w * d1)))
+        return norm if np.isfinite(norm) else np.inf
+
+    def _evaluate(self, beta, eps):
+        r = self.z - self.x @ beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, d1, d2 = self.sigma(r)
+            if self.kink:
+                q = np.sqrt(r * r + eps * eps)
+                value = value + self.kink * (q - eps)
+                d1 = d1 + self.kink * (r / q)
+                d2 = d2 + self.kink * (eps * eps / q**3)
+            total = float(np.sum(self.w * value))
+        return (total if np.isfinite(total) else np.inf), r, d1, d2
+
+    def parts(self, beta, eps):
+        """(value, gradient, Hessian, certificate) of the stage at beta."""
+        value, r, d1, d2 = self._evaluate(beta, eps)
+        x, w = self.x, self.w
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = -(x.T @ (w * d1))
+            hess = (x * (w * d2)[:, None]).T @ x
+            if not self.kink:
+                cert = float(np.linalg.norm(grad))
+            else:
+                # KKT residual of the unsmoothed criterion: the subgradient
+                # with sign(r) off the kink and least-squares multipliers on it
+                at_kink = np.abs(r) <= _AT_KINK
+                slope = self.sigma(r)[1] + self.kink * np.sign(r) * ~at_kink
+                sub = -(x.T @ (w * slope))
+                if np.any(at_kink):
+                    a = self.kink * (x[at_kink] * w[at_kink, None]).T
+                    sub = sub - a @ _box_lstsq(a, sub)
+                cert = float(np.linalg.norm(sub))
+        return value, grad, hess, (cert if np.isfinite(cert) else np.inf)
+
+    def rounding_floor(self, beta) -> float:
+        """The certificate that rounding alone can leave at beta: 1000
+        rounding units of the summed magnitudes of the gradient's terms."""
+        r = self.z - self.x @ beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.abs(self.x).T @ (self.w * (np.abs(self.sigma(r)[1]) + self.kink))
+        return 1e3 * np.finfo(float).eps * float(np.linalg.norm(size))
 
 
-def _lpre_parts(beta, x, y, weights):
-    eta = x @ beta
-    if np.any(np.abs(eta) > criteria.EXP_BOUND):
-        return None
-    t = y * np.exp(-eta)
-    u = np.exp(eta) / y
-    w = weights if weights is not None else 1.0
-    loss = float(np.sum(w * (t + u - 2.0)))
-    grad = x.T @ (w * (u - t))
-    hess_w = w * (t + u)
-    return loss, grad, hess_w
+def _box_lstsq(a, b) -> np.ndarray:
+    """u in [-1, 1]^k with a u close to b: least squares, with any entry
+    that leaves the box held at its bound while the rest are solved again."""
+    u = np.zeros(a.shape[1])
+    held = np.zeros(a.shape[1], dtype=bool)
+    while True:
+        u[~held] = np.linalg.lstsq(a[:, ~held], b - a[:, held] @ u[held], rcond=None)[0]
+        over = np.abs(u) > 1.0
+        if not over.any():
+            return u
+        u = np.clip(u, -1.0, 1.0)
+        held |= over
 
 
-def _lpre_loss_or_inf(beta, x, y, weights):
-    eta = x @ beta
-    if np.any(np.abs(eta) > criteria.EXP_BOUND):
-        return math.inf
-    w = weights if weights is not None else 1.0
-    return float(np.sum(w * (y * np.exp(-eta) + np.exp(eta) / y - 2.0)))
+def _minimize(problem: _Problem, beta, opts: SolverOptions):
+    """Damped Newton through the smoothing stages.
 
-
-def _newton_lpre(x, y, start, weights, opts):
-    """Damped Newton on the product criterion over an arbitrary design.
-
-    Returns (beta, loss, gradient_norm, iterations, converged); the line
-    search treats exp() overflow as an infinite objective, so divergent
-    steps are simply halved away.
+    Returns (beta, value, iterations, certificate).  Each stage takes at most
+    ``max_iterations`` steps.  A smoothing stage ends once its Newton
+    decrement is below its own width eps; the last one also waits for the
+    certificate.  Any stage ends when the line search fails.
     """
-    beta = np.asarray(start, dtype=float).copy()
-    parts = _lpre_parts(beta, x, y, weights)
-    if parts is None:
-        raise NumericOverflowError("starting point overflows exp()")
-    loss, grad, hess_w = parts
-    for it in range(1, opts.max_iterations + 1):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= opts.tol_gradient:
-            return beta, loss, gnorm, it - 1, True
-        hess = (x * hess_w[:, None]).T @ x
-        try:
-            step = scipy.linalg.solve(hess, -grad, assume_a="pos")
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularDesignError("Hessian factorization failed") from exc
-        slope = float(grad @ step)
-        accepted = False
-        if abs(slope) <= 1e-10 * (1.0 + abs(loss)):
-            # predicted decrease is below loss rounding noise; the Armijo
-            # test is meaningless here, so take the pure Newton step
-            cand = beta + step
-            if math.isfinite(_lpre_loss_or_inf(cand, x, y, weights)):
-                accepted = True
-        else:
+    iterations = 0
+    stages = EPS_SCHEDULE if problem.kink else (0.0,)
+    for eps in stages:
+        value, grad, hess, cert = problem.parts(beta, eps)
+        if value == np.inf:
+            raise NumericOverflowError("criterion overflows at the starting point")
+        for _ in range(opts.max_iterations):
+            if not eps and cert <= opts.tol_gradient:
+                break
+            try:
+                factor = scipy.linalg.cho_factor(hess, check_finite=False)
+                step = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
+            except scipy.linalg.LinAlgError:
+                # a small smoothing width can leave directions with almost
+                # no curvature; step within the ones that have it
+                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            slope = float(grad @ step)
+            if -slope <= eps and (eps != stages[-1] or cert <= opts.tol_gradient):
+                break
+            iterations += 1
+            # Below the rounding noise of the value the Armijo test is
+            # meaningless, so backtrack on the gradient norm instead.
+            noisy = abs(slope) <= 1e-10 * (1.0 + abs(value))
+            merit = np.linalg.norm(grad) if noisy else None
             t = 1.0
             for _ in range(80):
                 cand = beta + t * step
-                cand_loss = _lpre_loss_or_inf(cand, x, y, weights)
-                if cand_loss <= loss + ARMIJO_C * t * slope:
-                    accepted = True
+                if (problem.gradient_norm(cand, eps) < merit if noisy else
+                        problem.value(cand, eps) <= value + ARMIJO_C * t * slope):
                     break
                 t *= 0.5
-        if not accepted:
-            return beta, loss, gnorm, it, False
-        beta = cand
-        loss, grad, hess_w = _lpre_parts(beta, x, y, weights)
-    return beta, loss, float(np.linalg.norm(grad)), opts.max_iterations, False
+            else:
+                break
+            beta = cand
+            value, grad, hess, cert = problem.parts(beta, eps)
+    return beta, value, iterations, cert
+
+
+def _fit(
+    criterion: GreCriterion,
+    label: str,
+    data: Dataset,
+    opts: Optional[SolverOptions],
+    weights: Optional[np.ndarray],
+    hypothesis: Optional[LinearHypothesis],
+) -> FitResult:
+    opts = opts or SolverOptions()
+    _require_full_rank(data)
+    z = np.log(data.y)
+    w = np.ones(data.n) if weights is None else np.asarray(weights, dtype=float)
+    x, basis = data.x, None
+    if hypothesis is not None:
+        if hypothesis.p != data.p:
+            raise ValueError("hypothesis dimension does not match the design")
+        if hypothesis.q == data.p:
+            value = float(np.sum(w * criterion.rho(z)))
+            return FitResult(np.zeros(data.p), value, float("nan"), 0, True, label)
+        basis = hypothesis.null_basis()
+        x = x @ basis
+    problem = _Problem(criterion, x, z, w)
+
+    sw = np.sqrt(w)
+    start = np.linalg.lstsq(x * sw[:, None], z * sw, rcond=None)[0]
+    if opts.initial_beta is not None:
+        initial = check_beta(opts.initial_beta, data)
+        initial = initial if basis is None else basis.T @ initial
+        if np.isfinite(problem.value(initial, EPS_SCHEDULE[0])):
+            start = initial
+
+    try:
+        coef, value, iterations, cert = _minimize(problem, start, opts)
+    except NumericOverflowError:
+        # The asymmetric row grows like exp(e^r) and overflows for r > 6.6;
+        # start again on the intercept alone at max log y, where every
+        # residual is <= 0.
+        intercept = np.zeros(data.p)
+        intercept[0] = z.max()
+        start = intercept if basis is None else basis.T @ intercept
+        coef, value, iterations, cert = _minimize(problem, start, opts)
+    if criterion.kink:  # the unsmoothed criterion
+        value = float(np.sum(w * criterion.rho(z - x @ coef)))
+    beta = coef if basis is None else basis @ coef
+    converged = cert <= opts.tol_gradient or cert <= problem.rounding_floor(coef)
+    result = FitResult(beta, value, cert, iterations, converged, label)
+    if not converged:
+        raise ConvergenceError(
+            f"{label} fit has no optimality certificate after {iterations} "
+            f"iterations (residual {cert:.3g} > {opts.tol_gradient:g} and above "
+            f"rounding)", result)
+    return result
+
+
+def fit_gre(
+    criterion: GreCriterion,
+    data: Dataset,
+    opts: Optional[SolverOptions] = None,
+    weights: Optional[np.ndarray] = None,
+    hypothesis: Optional[LinearHypothesis] = None,
+) -> FitResult:
+    """Minimize any criterion of the table, optionally over {b : H'b = 0}.
+
+    Every criterion is convex in beta, so the returned point is a global
+    minimizer; ``FitResult.criterion`` is the criterion's name.
+    """
+    return _fit(criterion, criterion.name, data, opts, weights, hypothesis)
 
 
 def fit_lpre(
@@ -211,29 +342,14 @@ def fit_lpre(
     opts: Optional[SolverOptions] = None,
     weights: Optional[np.ndarray] = None,
 ) -> FitResult:
-    """Minimize the product relative-error criterion by damped Newton.
+    """Minimize the product relative-error criterion.
 
     The criterion is smooth and strictly convex for full-rank designs, so
     the returned point is the unique global minimizer regardless of the
     starting point.  Raises ConvergenceError (with the best iterate
-    attached) if the iteration cap is hit.
+    attached) if the gradient norm does not reach ``tol_gradient``.
     """
-    opts = opts or SolverOptions()
-    _require_full_rank(data)
-    if opts.initial_beta is not None:
-        start = check_beta(opts.initial_beta, data)
-    else:
-        start = fit_ls_log(data, weights).beta
-    if not np.isfinite(_lpre_loss_or_inf(start, data.x, data.y, weights)):
-        start = np.zeros(data.p)
-
-    beta, loss, gnorm, it, ok = _newton_lpre(data.x, data.y, start, weights, opts)
-    result = FitResult(beta, loss, gnorm, it, ok, "lpre")
-    if not ok:
-        raise ConvergenceError(
-            f"Newton did not converge in {opts.max_iterations} iterations", result
-        )
-    return result
+    return _fit(criteria.PRODUCT, "lpre", data, opts, weights, None)
 
 
 def fit_constrained_lpre(
@@ -244,141 +360,9 @@ def fit_constrained_lpre(
 ) -> FitResult:
     """Minimize the product criterion over {b : H'b = 0}.
 
-    Reparametrizes beta = B @ gamma with B an orthonormal null-space
-    basis and runs Newton in gamma.  With q = p the null space is {0}
-    and beta = 0 is returned directly.
+    With q = p the null space is {0} and beta = 0 is returned directly.
     """
-    opts = opts or SolverOptions()
-    if hypothesis.p != data.p:
-        raise ValueError("hypothesis dimension does not match the design")
-    _require_full_rank(data)
-    if hypothesis.q == data.p:
-        beta = np.zeros(data.p)
-        loss = _lpre_loss_or_inf(beta, data.x, data.y, weights)
-        return FitResult(beta, loss, float("nan"), 0, True, "lpre")
-
-    basis = hypothesis.null_basis()
-    xb = data.x @ basis
-    gamma0 = np.zeros(basis.shape[1])
-    gamma, loss, gnorm, it, ok = _newton_lpre(xb, data.y, gamma0, weights, opts)
-    result = FitResult(basis @ gamma, loss, gnorm, it, ok, "lpre")
-    if not ok:
-        raise ConvergenceError(
-            f"constrained Newton did not converge in {opts.max_iterations} iterations",
-            result,
-        )
-    return result
-
-
-def fit_lad_log(
-    data: Dataset,
-    opts: Optional[SolverOptions] = None,
-    weights: Optional[np.ndarray] = None,
-) -> FitResult:
-    """Least absolute deviations of log y on x via smoothed IRLS.
-
-    Minimizes sum_i sqrt(r_i^2 + eps^2) with eps = 1e-8, which matches
-    the LAD objective to within n*eps; iterated to stationarity.
-    """
-    opts = opts or SolverOptions()
-    _require_full_rank(data)
-    logy = np.log(data.y)
-    beta = fit_ls_log(data, weights).beta.copy()
-    base_w = weights if weights is not None else np.ones(data.n)
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iterations_nonsmooth + 1):
-        r = logy - data.x @ beta
-        w = base_w / np.sqrt(r * r + IRLS_SMOOTHING**2)
-        sw = np.sqrt(w)
-        new_beta, *_ = np.linalg.lstsq(data.x * sw[:, None], logy * sw, rcond=None)
-        delta = float(np.max(np.abs(new_beta - beta)))
-        beta = new_beta
-        if delta < 1e-12:
-            converged = True
-            break
-    r = logy - data.x @ beta
-    return FitResult(
-        beta=beta,
-        criterion_value=float(np.sum(base_w * np.abs(r))),
-        gradient_norm=float("nan"),
-        iterations=it,
-        converged=converged,
-        criterion="lad_log",
-    )
-
-
-def fit_gre(
-    criterion: criteria.GreCriterion,
-    data: Dataset,
-    opts: Optional[SolverOptions] = None,
-    weights: Optional[np.ndarray] = None,
-) -> FitResult:
-    """Minimize a general relative-error criterion.
-
-    The product loss is dispatched to the Newton solver.  Other losses
-    may be nonsmooth or nonconvex, so we run Nelder-Mead restarted from
-    the log-scale LS fit and from the product-criterion fit and keep the
-    better endpoint.
-    """
-    opts = opts or SolverOptions()
-    if criterion.name == "product":
-        return fit_lpre(data, opts, weights)
-    _require_full_rank(data)
-
-    # center log responses so the fit is exactly equivariant under
-    # response rescaling (only the recovered intercept depends on scale)
-    shift = float(np.mean(np.log(data.y)))
-    y_centered = data.y * math.exp(-shift)
-    x = data.x
-
-    def objective(beta):
-        eta = x @ beta
-        if np.any(np.abs(eta) > criteria.EXP_BOUND):
-            return math.inf
-        yhat = np.exp(eta)
-        resid = y_centered - yhat
-        terms = criterion.loss(np.abs(resid) / y_centered, np.abs(resid) / yhat)
-        if weights is not None:
-            terms = terms * weights
-        return float(np.sum(terms))
-
-    centered = Dataset(x, y_centered)
-    starts = [fit_ls_log(centered, weights).beta]
-    if opts.initial_beta is not None:
-        start = check_beta(opts.initial_beta, data).copy()
-        start[0] -= shift
-        starts.insert(0, start)
-    try:
-        starts.append(fit_lpre(centered, weights=weights).beta)
-    except ConvergenceError as exc:  # keep the best iterate as a start
-        if exc.result is not None:
-            starts.append(exc.result.beta)
-
-    best = None
-    for start in starts:
-        res = scipy.optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": opts.max_iterations_nonsmooth,
-                "xatol": 1e-11,
-                "fatol": 1e-14,
-            },
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    beta = np.asarray(best.x, dtype=float).copy()
-    beta[0] += shift
-    return FitResult(
-        beta=beta,
-        criterion_value=float(best.fun),
-        gradient_norm=float("nan"),
-        iterations=int(best.nit),
-        converged=bool(best.success),
-        criterion=criterion.name,
-    )
+    return _fit(criteria.PRODUCT, "lpre", data, opts, weights, hypothesis)
 
 
 def fit_lare(
@@ -387,12 +371,18 @@ def fit_lare(
     weights: Optional[np.ndarray] = None,
 ) -> FitResult:
     """Minimize the additive relative-error criterion."""
-    result = fit_gre(criteria.SUM, data, opts, weights)
-    return FitResult(
-        beta=result.beta,
-        criterion_value=result.criterion_value,
-        gradient_norm=result.gradient_norm,
-        iterations=result.iterations,
-        converged=result.converged,
-        criterion="lare",
-    )
+    return _fit(criteria.SUM, "lare", data, opts, weights, None)
+
+
+def fit_ls_log(data: Dataset, weights: Optional[np.ndarray] = None) -> FitResult:
+    """Least squares of log y on x (the solver's starting point is exact)."""
+    return _fit(criteria.CRITERIA["ls_log"], "ls_log", data, None, weights, None)
+
+
+def fit_lad_log(
+    data: Dataset,
+    opts: Optional[SolverOptions] = None,
+    weights: Optional[np.ndarray] = None,
+) -> FitResult:
+    """Least absolute deviations of log y on x."""
+    return _fit(criteria.CRITERIA["lad_log"], "lad_log", data, opts, weights, None)

@@ -68,6 +68,20 @@ class TestFit:
         p2 = [float(r["p_value"]) for r in csv.DictReader(open(out2))]
         np.testing.assert_allclose(p2, [2 * v for v in p1], rtol=1e-9)
 
+    @pytest.mark.parametrize("column", ["x1", "y"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_cell_exits_1(self, runner, tmp_path, data_csv, column, bad):
+        _, x1, x2, y = data_csv
+        cols = {"x1": x1.copy(), "x2": x2, "y": y.copy()}
+        cols[column][5] = bad
+        path = tmp_path / "bad.csv"
+        write_csv(path, {"x1": cols["x1"], "x2": x2}, cols["y"])
+        result = runner.invoke(main, [
+            "fit", "--input", str(path), "--response", "y",
+            "--output", str(tmp_path / "fit.csv")])
+        assert result.exit_code == 1
+        assert "must be finite" in result.output
+
     def test_nonsmooth_criterion_uses_resampling_seed(self, runner, tmp_path, data_csv):
         path, *_ = data_csv
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

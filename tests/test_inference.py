@@ -6,7 +6,8 @@ from scipy.stats import chi2, norm
 from relerr.criteria import PRODUCT, SUM
 from relerr.data import Dataset
 from relerr.distributions import ErrorLaw, Sampler, population_constants
-from relerr.errors import RelerrError
+from relerr import solver
+from relerr.errors import ConvergenceError, RelerrError, ResamplingError
 from relerr.inference import (
     gre_anova_test,
     lpre_anova_test,
@@ -15,7 +16,7 @@ from relerr.inference import (
     sandwich_covariance,
     wald_p_values,
 )
-from relerr.solver import FitResult, LinearHypothesis, fit_lpre, fit_ls_log
+from relerr.solver import FitResult, LinearHypothesis, SolverOptions, fit_lpre, fit_ls_log
 
 from conftest import random_dataset
 
@@ -161,6 +162,31 @@ class TestRandomWeighting:
         with pytest.raises(ValueError):
             random_weight_covariance("huber", data, n_resample=10)
 
+    def test_uncertified_resample_fits_raise(self):
+        # one Newton step per smoothing stage never certifies a LARE fit
+        data, _ = big_dataset(4, n=120)
+        with pytest.raises(ResamplingError):
+            random_weight_covariance("lare", data, n_resample=20,
+                                     rng=np.random.default_rng(9),
+                                     opts=SolverOptions(max_iterations=1))
+
+    def test_failed_resample_fit_is_retried_then_counted(self, monkeypatch):
+        data, _ = big_dataset(4, n=120)
+        calls = []
+        fit_gre = solver.fit_gre
+
+        def first_two_fail(*args, **kwargs):
+            calls.append(None)
+            if len(calls) <= 2:
+                raise ConvergenceError("no certificate")
+            return fit_gre(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "fit_gre", first_two_fail)
+        est = random_weight_covariance("lpre", data, n_resample=20,
+                                       rng=np.random.default_rng(9))
+        assert est.n_skipped == 1
+        assert len(calls) == 21
+
 
 class TestGreAnova:
     def test_product_agrees_with_chi_squared_version(self):
@@ -179,6 +205,19 @@ class TestGreAnova:
                              rng=np.random.default_rng(2))
         assert res.p_value < 0.05
         assert res.p_value >= 1.0 / 121.0  # empirical floor
+
+
+@pytest.mark.parametrize("inference", [
+    lambda data: sandwich_covariance(fit_lpre(data), data),
+    lambda data: ols_log_covariance(fit_ls_log(data), data),
+    lambda data: random_weight_covariance("lpre", data, n_resample=10,
+                                          rng=np.random.default_rng(0)),
+    lambda data: lpre_anova_test(data, LinearHypothesis.zero_coefs([2], 3)),
+], ids=["sandwich", "ols_log", "random_weighting", "lpre_anova"])
+def test_no_residual_degrees_of_freedom_rejected(rng, inference):
+    data, _ = random_dataset(rng, n=3, p=3)
+    with pytest.raises(RelerrError, match="degrees of freedom"):
+        inference(data)
 
 
 def test_khat_undefined_for_perfect_fit():

@@ -1,10 +1,13 @@
 import csv
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from relerr import simulate
 from relerr.distributions import ErrorLaw, population_constants
+from relerr.errors import ConvergenceError
 from relerr.simulate import (
     METRICS_HEADER,
     POWER_HEADER,
@@ -96,6 +99,25 @@ class TestEstimationStudy:
         cfg = small_config(replications=5, compute_see=False)
         rows = run_estimation_study(cfg)
         assert all(math.isnan(r.see) and math.isnan(r.cp) for r in rows)
+
+    def test_failed_replications_are_logged(self, monkeypatch, caplog):
+        rep_task = simulate._estimation_rep
+
+        def one_fails(config, rep):
+            if rep == 17:
+                raise ConvergenceError("no certificate")
+            return rep_task(config, rep)
+
+        monkeypatch.setattr(simulate, "_estimation_rep", one_fails)
+        cfg = small_config(replications=200, n=30, estimators=("lpre",),
+                           compute_see=False)
+        with caplog.at_level(logging.WARNING, logger="relerr"):
+            rows = run_estimation_study(cfg)
+        assert len(rows) == 3
+        [record] = caplog.records
+        assert record.name == "relerr" and record.levelno == logging.WARNING
+        assert "1/200" in record.getMessage()
+        assert "ConvergenceError: 1" in record.getMessage()
 
 
 class TestPowerStudy:

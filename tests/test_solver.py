@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from relerr.criteria import (
     ASYMMETRIC,
+    CRITERIA,
     MAX,
     SUM,
     gre_loss,
@@ -14,7 +15,7 @@ from relerr.criteria import (
     lpre_loss,
 )
 from relerr.data import Dataset, make_dataset
-from relerr.errors import SingularDesignError
+from relerr.errors import ConvergenceError, SingularDesignError
 from relerr.solver import (
     LinearHypothesis,
     SolverOptions,
@@ -197,3 +198,113 @@ def test_make_dataset_adds_intercept(rng):
     data = make_dataset(z, np.exp(rng.standard_normal(10)))
     assert data.p == 3
     np.testing.assert_array_equal(data.x[:, 0], 1.0)
+
+
+# -- optimality certificates computed apart from the solver -----------------
+
+#: derivative of rho off the kink, and the half-width of its subgradient
+#: interval at r = 0, from the relative-error definitions a = |1 - e^-r|,
+#: b = |e^r - 1|
+KINKED = {
+    "sum": (lambda r: 2.0 * np.sign(r) * np.cosh(r), 2.0),
+    "max": (lambda r: np.sign(r) * np.exp(np.abs(r)), 1.0),
+    "asymmetric": (lambda r: np.sign(r) * (np.exp(-r) + np.exp(r)
+                                           * np.exp(np.abs(np.exp(r) - 1.0))), 2.0),
+    "lad_log": (lambda r: np.sign(r), 1.0),
+}
+AT_KINK = 1e-6
+
+
+def correlated_design(seed=13, n=200, p=13):
+    """Covariates sharing one N(0, 1) factor (pairwise correlation ~0.8)."""
+    rng = np.random.default_rng(seed)
+    factor = rng.standard_normal((n, 1))
+    z = 2.0 * factor + rng.standard_normal((n, p - 1))
+    x = np.hstack([np.ones((n, 1)), z])
+    beta = np.concatenate([[1.0], rng.uniform(-0.2, 0.2, p - 1)])
+    y = np.exp(x @ beta + 0.4 * rng.standard_normal(n))
+    return Dataset(x, y), rng.standard_exponential(n)
+
+
+def kkt_residual(name, beta, data, weights=None, basis=None):
+    """min over multipliers v in [-1, 1] (residuals within AT_KINK of 0) of
+    the sup-norm of a subgradient, by linear program."""
+    from scipy.optimize import linprog
+
+    slope, half = KINKED[name]
+    w = np.ones(data.n) if weights is None else weights
+    r = np.log(data.y) - data.x @ beta
+    kink = np.abs(r) <= AT_KINK
+    basis = np.eye(data.p) if basis is None else basis
+    g = basis.T @ (-(data.x[~kink].T @ (w[~kink] * slope(r[~kink]))))
+    a = basis.T @ (-(half * data.x[kink] * w[kink, None]).T)
+    k, m = a.shape[1], g.shape[0]
+    # variables (v, t): minimize t subject to -t <= g + a v <= t
+    cost = np.concatenate([np.zeros(k), [1.0]])
+    ones = np.ones((m, 1))
+    a_ub = np.vstack([np.hstack([a, -ones]), np.hstack([-a, -ones])])
+    b_ub = np.concatenate([-g, g])
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(-1.0, 1.0)] * k + [(0.0, None)], method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def lad_minimum(data, weights):
+    """min_beta sum_i w_i |log y_i - x_i'beta| by linear program (HiGHS)."""
+    from scipy.optimize import linprog
+
+    n, p = data.x.shape
+    cost = np.concatenate([np.zeros(p), weights, weights])
+    a_eq = np.hstack([data.x, np.eye(n), -np.eye(n)])
+    res = linprog(cost, A_eq=a_eq, b_eq=np.log(data.y),
+                  bounds=[(None, None)] * p + [(0, None)] * (2 * n), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+class TestKinkedCertificates:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name", sorted(KINKED))
+    def test_kkt_holds(self, name, weighted):
+        data, w = correlated_design()
+        w = w if weighted else None
+        fit = fit_gre(CRITERIA[name], data, weights=w)
+        assert kkt_residual(name, fit.beta, data, w) <= 1e-8
+        assert fit.converged and fit.gradient_norm <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(KINKED))
+    def test_constrained_kkt_holds(self, name):
+        data, w = correlated_design()
+        hyp = LinearHypothesis.zero_coefs([2, 7], data.p)
+        fit = fit_gre(CRITERIA[name], data, weights=w, hypothesis=hyp)
+        np.testing.assert_allclose(fit.beta[[2, 7]], 0.0, atol=1e-14)
+        assert kkt_residual(name, fit.beta, data, w, hyp.null_basis()) <= 1e-8
+        free = fit_gre(CRITERIA[name], data, weights=w)
+        assert fit.criterion_value >= free.criterion_value
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_lad_reaches_linear_program_optimum(self, weighted):
+        data, w = correlated_design()
+        w = w if weighted else np.ones(data.n)
+        fit = fit_lad_log(data, weights=w)
+        best = lad_minimum(data, w)
+        assert abs(fit.criterion_value - best) <= 1e-10 * best
+
+    def test_asymmetric_fit_with_a_large_residual(self):
+        # e^b = exp(e^r - 1) overflows at the least-squares start when one
+        # response is e^8 times its neighbours
+        data, _ = correlated_design(p=4)
+        y = data.y.copy()
+        y[0] *= math.exp(8.0)
+        data = Dataset(data.x, y)
+        fit = fit_gre(ASYMMETRIC, data)
+        assert math.isfinite(fit.criterion_value)
+        assert kkt_residual("asymmetric", fit.beta, data) <= 1e-8
+
+    def test_iteration_cap_raises_with_best_iterate(self):
+        data, _ = correlated_design()
+        with pytest.raises(ConvergenceError) as info:
+            fit_lare(data, SolverOptions(max_iterations=1))
+        assert info.value.result is not None
+        assert info.value.result.gradient_norm > 1e-10
