@@ -166,7 +166,7 @@ def cmd_simulate(config_path, output, seed, threads, replications):
               help="training block size when using --input")
 @click.option("--response", default=None, help="response column name")
 @click.option("--criterion", "methods", multiple=True,
-              type=click.Choice(("lpre", "lare", "ls", "lad")),
+              type=click.Choice(inference.PAPER_ESTIMATORS),
               help="methods to evaluate (default: all four)")
 @click.option("--bodyfat", is_flag=True,
               help="run the body-fat pipeline (implies the standard column map)")
@@ -177,7 +177,7 @@ def cmd_simulate(config_path, output, seed, threads, replications):
 def cmd_predict(train_path, test_path, input_path, split, response, methods,
                 bodyfat, output, seed, resamples):
     """Evaluate out-of-sample prediction with the four median error metrics."""
-    methods = tuple(methods) or ("lpre", "lare", "ls", "lad")
+    methods = tuple(methods) or inference.PAPER_ESTIMATORS
     try:
         if bodyfat:
             if input_path is None:

@@ -1,14 +1,18 @@
 """Error laws for the multiplicative model.
 
-Covers four inverse-transformation-invariant efficiency densities, each
-of the form c * exp(-g(|1-x|, |1-1/x|) - log x) on x > 0, which makes
-sum g the exact negative log-likelihood.  Three belong to shipped
-criteria (lpre_efficient: product, lare_efficient: sum, max_efficient:
-max); ls_like_efficient uses g = a^2 + b^2, which no shipped criterion
+Four inverse-transformation-invariant efficiency laws: the log error
+r = log eps has density c * exp(-rho(r)) for an even convex loss rho,
+so sum rho(r_i) is the exact negative log-likelihood (in x = eps, the
+paper's c * exp(-g(|1-x|, |1-1/x|) - log x)).  lpre_efficient,
+lare_efficient and max_efficient take rho from the product, sum and max
+rows of the criteria table; ls_like_efficient uses
+rho(r) = (e^r - 1)^2 + (e^-r - 1)^2, which no shipped criterion
 minimizes, and the asymmetric criterion has none.  Also log-uniform,
-log-normal, uniform, and a degenerate point mass at 1.  Provides normalizing constants and moments
-by adaptive quadrature and rejection samplers with a log-normal
-envelope.
+log-normal, uniform, and a degenerate point mass at 1.
+
+As rho is even, E(eps^-k) = E(eps^k) and every constant is one adaptive
+quadrature over r >= 0; efficiency laws are sampled by rejection from
+r ~ N(0, sigma^2).
 """
 
 from __future__ import annotations
@@ -22,18 +26,22 @@ from scipy.integrate import quad
 from scipy.optimize import bisect
 from scipy.stats import lognorm
 
+from . import criteria
 from .errors import RelerrError
 
+#: rho of the log error, by efficiency law
+_RHO = {
+    "lpre_efficient": criteria.PRODUCT.rho,
+    "lare_efficient": criteria.SUM.rho,
+    "max_efficient": criteria.MAX.rho,
+    "ls_like_efficient": lambda r: (np.exp(r) - 1.0) ** 2 + (np.exp(-r) - 1.0) ** 2,
+}
+
 #: kinds with a density of the efficiency form
-EFFICIENT_KINDS = (
-    "lpre_efficient",
-    "lare_efficient",
-    "max_efficient",
-    "ls_like_efficient",
-)
+EFFICIENT_KINDS = tuple(_RHO)
 
 _ENVELOPE_SD_INFLATION = 1.5
-_ENVELOPE_GRID = np.logspace(-4, 4, 10_000)
+_ENVELOPE_GRID = np.linspace(-4.0, 4.0, 10_000) * math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -75,39 +83,39 @@ class ErrorLaw:
         return cls("uniform", lo=0.5, hi=solve_uniform_upper())
 
 
-def _log_unnormalized(kind: str, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if kind == "lpre_efficient":
-        return -x - 1.0 / x - np.log(x) + 2.0
-    if kind == "lare_efficient":
-        return -np.abs(1.0 - x) - np.abs(1.0 - 1.0 / x) - np.log(x)
-    if kind == "max_efficient":
-        return -np.maximum(np.abs(1.0 - x), np.abs(1.0 - 1.0 / x)) - np.log(x)
-    if kind == "ls_like_efficient":
-        return -((1.0 - x) ** 2) - (1.0 - 1.0 / x) ** 2 - np.log(x)
-    raise ValueError(f"no efficiency density for kind {kind!r}")
+def _weight(kind: str, r):
+    """exp(-rho(r)), the unnormalized density of the log error."""
+    with np.errstate(over="ignore"):
+        return np.exp(-_RHO[kind](r))
 
 
 def unnormalized_density(kind: str, x) -> np.ndarray:
     """Density of an efficiency family up to its normalizing constant."""
+    if kind not in EFFICIENT_KINDS:
+        raise ValueError(f"no efficiency density for kind {kind!r}")
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
-    out[pos] = np.exp(_log_unnormalized(kind, x[pos]))
+    out[pos] = _weight(kind, np.log(x[pos])) / x[pos]
     return out
 
 
-def _integrate(fn, epsrel=1e-10) -> float:
-    # split at 1 and exploit the x <-> 1/x substitution on (0, 1]: both
-    # halves become integrals over [1, inf) with well-behaved tails
-    upper, err_u = quad(fn, 1.0, np.inf, epsrel=epsrel, limit=200)
-    lower, err_l = quad(lambda u: fn(1.0 / u) / u**2, 1.0, np.inf,
-                        epsrel=epsrel, limit=200)
-    total = upper + lower
-    # relative where the value is O(1), absolute for near-cancelling integrals
-    if (err_u + err_l) > 1e-7 * max(abs(total), 1.0):
+def _half_line(kind: str, fn) -> float:
+    """int_0^inf fn(r) exp(-rho(r)) dr.
+
+    fn is evaluated only where exp(-rho) has not underflowed, so it may
+    grow as fast as cosh(2r).
+    """
+    def integrand(r):
+        w = float(_weight(kind, r))
+        return fn(r) * w if w > 0.0 else 0.0
+
+    # epsabs=0: otherwise quad's default absolute 1.5e-8, not epsrel, sets
+    # the accuracy of these O(1) integrals
+    value, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
+    if err > 1e-7 * max(abs(value), 1.0):
         raise RelerrError("quadrature failed to reach requested accuracy")
-    return total
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -115,8 +123,12 @@ def normalizing_constant(kind: str) -> float:
     """Constant c making the efficiency density integrate to 1 on (0, inf)."""
     if kind not in EFFICIENT_KINDS:
         raise ValueError(f"no normalizing constant for kind {kind!r}")
-    mass = _integrate(lambda x: float(np.exp(_log_unnormalized(kind, x))))
-    return 1.0 / mass
+    return 0.5 / _half_line(kind, lambda r: 1.0)
+
+
+def _expect(kind: str, fn) -> float:
+    """E fn(log eps) for an even fn under an efficiency law."""
+    return 2.0 * normalizing_constant(kind) * _half_line(kind, fn)
 
 
 def density(law: ErrorLaw, x) -> np.ndarray:
@@ -153,39 +165,30 @@ def solve_uniform_upper() -> float:
 
 
 @lru_cache(maxsize=None)
-def _envelope_params(kind: str):
-    """Log-normal envelope (mu, sigma, acceptance constant) for a kind.
+def _envelope(kind: str):
+    """Proposal sd sigma and bound M for rejection sampling of a kind.
 
-    The proposal matches the target's log-scale mean with an inflated
-    standard deviation; the constant is the maximum density ratio over a
-    wide log-spaced grid, with a small safety margin.
+    sigma is 1.5 times the log error's standard deviation; M is the
+    largest ratio exp(-rho(r)) / exp(-r^2 / (2 sigma^2)) over the grid
+    |r| <= 4 log 10, with a small safety margin.
     """
-    c = normalizing_constant(kind)
-    f = lambda x: c * float(np.exp(_log_unnormalized(kind, x)))
-    mean_log = _integrate(lambda x: math.log(x) * f(x))
-    var_log = _integrate(lambda x: (math.log(x) - mean_log) ** 2 * f(x))
-    sigma = _ENVELOPE_SD_INFLATION * math.sqrt(var_log)
-    grid = _ENVELOPE_GRID
-    fx = c * unnormalized_density(kind, grid)
-    gx = lognorm.pdf(grid, s=sigma, scale=math.exp(mean_log))
-    const = float(np.max(fx / gx)) * 1.02
-    if np.any(fx > const * gx):
-        raise RelerrError(f"log-normal envelope fails to dominate the {kind} density")
-    return mean_log, sigma, const
+    sigma = _ENVELOPE_SD_INFLATION * math.sqrt(_expect(kind, lambda r: r * r))
+    r = _ENVELOPE_GRID
+    ratio = _weight(kind, r) * np.exp(0.5 * (r / sigma) ** 2)
+    return sigma, float(np.max(ratio)) * 1.02
 
 
 class Sampler:
     """Draws from an ErrorLaw; efficiency families use rejection sampling.
 
-    The envelope is a log-normal matched to the target's log-scale mean
-    and (inflated) standard deviation, with the acceptance constant taken
-    as the maximum density ratio over a wide log-spaced grid.
+    The log error is proposed from a centred normal with an inflated
+    standard deviation and accepted against exp(-rho(r)).
     """
 
     def __init__(self, law: ErrorLaw):
         self.law = law
         if law.kind in EFFICIENT_KINDS:
-            self._env_mu, self._env_sigma, self._env_const = _envelope_params(law.kind)
+            self._env_sigma, self._env_bound = _envelope(law.kind)
 
     def draw(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         law = self.law
@@ -202,12 +205,11 @@ class Sampler:
         filled = 0
         while filled < size:
             m = max(2 * (size - filled), 64)
-            cand = np.exp(rng.normal(self._env_mu, self._env_sigma, m))
-            gx = lognorm.pdf(cand, s=self._env_sigma, scale=math.exp(self._env_mu))
-            fx = density(law, cand)
-            keep = cand[rng.uniform(size=m) * self._env_const * gx <= fx]
+            r = rng.normal(0.0, self._env_sigma, m)
+            envelope = self._env_bound * np.exp(-0.5 * (r / self._env_sigma) ** 2)
+            keep = r[rng.uniform(size=m) * envelope <= _weight(law.kind, r)]
             take = min(keep.shape[0], size - filled)
-            out[filled:filled + take] = keep[:take]
+            out[filled:filled + take] = np.exp(keep[:take])
             filled += take
         return out
 
@@ -215,6 +217,28 @@ class Sampler:
 def sample(law: ErrorLaw, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """One-shot draw helper; builds a Sampler internally."""
     return Sampler(law).draw(rng, size)
+
+
+def _moment_function(law: ErrorLaw):
+    """k -> E(eps^k) for k in {1, -1, 2, -2}: closed forms where they exist."""
+    kind = law.kind
+    lo, hi = law.lo, law.hi
+    if kind == "log_uniform":
+        return lambda k: (math.exp(k * hi) - math.exp(k * lo)) / (k * (hi - lo))
+    if kind == "uniform":
+        width = hi - lo
+        return {
+            1: (lo + hi) / 2.0,
+            -1: math.log(hi / lo) / width,
+            2: (hi**3 - lo**3) / (3 * width),
+            -2: (1.0 / lo - 1.0 / hi) / width,
+        }.__getitem__
+    if kind == "log_normal":
+        mu, s2 = law.mu, law.sigma**2
+        return lambda k: math.exp(k * mu + k * k * s2 / 2)
+    if kind in EFFICIENT_KINDS:
+        return lambda k: _expect(kind, lambda r: math.cosh(k * r))
+    raise ValueError(f"population constants undefined for {kind!r}")
 
 
 def population_constants(law: ErrorLaw) -> dict:
@@ -226,39 +250,10 @@ def population_constants(law: ErrorLaw) -> dict:
     log-likelihood).  Uses closed forms where they exist and quadrature
     otherwise.
     """
-    kind = law.kind
-    if kind == "log_uniform":
-        lo, hi = law.lo, law.hi
-        width = hi - lo
-        e_eps = (math.exp(hi) - math.exp(lo)) / width
-        e_inv = (math.exp(-lo) - math.exp(-hi)) / width
-        e_sq = (math.exp(2 * hi) - math.exp(2 * lo)) / (2 * width)
-        e_inv_sq = (math.exp(-2 * lo) - math.exp(-2 * hi)) / (2 * width)
-    elif kind == "uniform":
-        lo, hi = law.lo, law.hi
-        width = hi - lo
-        e_eps = (lo + hi) / 2.0
-        e_inv = math.log(hi / lo) / width
-        e_sq = (hi**3 - lo**3) / (3 * width)
-        e_inv_sq = (1.0 / lo - 1.0 / hi) / width
-    elif kind == "log_normal":
-        mu, s2 = law.mu, law.sigma**2
-        e_eps = math.exp(mu + s2 / 2)
-        e_inv = math.exp(-mu + s2 / 2)
-        e_sq = math.exp(2 * mu + 2 * s2)
-        e_inv_sq = math.exp(-2 * mu + 2 * s2)
-    elif kind in EFFICIENT_KINDS:
-        c = normalizing_constant(kind)
-        f = lambda x: c * float(np.exp(_log_unnormalized(kind, x)))
-        e_eps = _integrate(lambda x: x * f(x))
-        e_inv = _integrate(lambda x: f(x) / x)
-        e_sq = _integrate(lambda x: x * x * f(x))
-        e_inv_sq = _integrate(lambda x: f(x) / (x * x))
-    else:
-        raise ValueError(f"population constants undefined for {kind!r}")
-
+    moment = _moment_function(law)
+    e_eps, e_inv = moment(1), moment(-1)
     d_scalar = e_eps + e_inv
-    v_scalar = e_sq - 2.0 + e_inv_sq
+    v_scalar = moment(2) - 2.0 + moment(-2)
     out = {
         "e_eps": e_eps,
         "e_inv": e_inv,
@@ -266,7 +261,7 @@ def population_constants(law: ErrorLaw) -> dict:
         "v_scalar": v_scalar,
         "k": v_scalar / (4.0 * e_eps),
     }
-    if kind == "lpre_efficient":
+    if law.kind == "lpre_efficient":
         out["d_v_residual"] = abs(d_scalar - v_scalar) / d_scalar
     return out
 

@@ -130,7 +130,7 @@ def _read_bodyfat_csv(csv_path, columns):
 
 def bodyfat_pipeline(
     csv_path,
-    methods: Sequence[str] = ("lpre", "lare", "ls", "lad"),
+    methods: Sequence[str] = inference.PAPER_ESTIMATORS,
     columns: Optional[dict] = None,
     train_size: int = 200,
     resamples: int = 500,

@@ -279,6 +279,9 @@ ESTIMATORS = {
     "gre:asym": Estimator(criteria.ASYMMETRIC, "random_weighting"),
 }
 
+#: the paper's four methods, in the order its tables list them
+PAPER_ESTIMATORS = ("lpre", "lare", "ls", "lad")
+
 
 def estimator(name: str) -> Estimator:
     """The registry entry for ``name``; ValueError if there is none."""

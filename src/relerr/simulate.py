@@ -31,8 +31,6 @@ from .solver import LinearHypothesis
 
 _log = logging.getLogger("relerr")
 
-DEFAULT_ESTIMATORS = ("lpre", "lare", "ls", "lad")
-
 METRICS_HEADER = "estimator,coef,bias,se,see,cp"
 POWER_HEADER = "beta0,beta1,beta2,alpha,reject_rate"
 
@@ -44,7 +42,7 @@ class SimulationConfig:
     n: int = 200
     replications: int = 1000
     resample_size: int = 500
-    estimators: tuple = DEFAULT_ESTIMATORS
+    estimators: tuple = inference.PAPER_ESTIMATORS
     seed: int = 0
     compute_see: bool = True
 
@@ -285,7 +283,8 @@ def load_config(path) -> dict:
         n=int(take("n", "200")),
         replications=int(take("replications", "1000")),
         resample_size=int(take("resample_size", "500")),
-        estimators=tuple(e.strip() for e in take("estimators", "lpre,lare,ls,lad").split(",")),
+        estimators=tuple(e.strip() for e in take(
+            "estimators", ",".join(inference.PAPER_ESTIMATORS)).split(",")),
         seed=int(take("seed", "0")),
         compute_see=take("compute_see", "true").lower() in ("true", "1", "yes"),
     )

@@ -68,8 +68,9 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted criterion; ``gradient_norm`` is its optimality certificate
-    (the gradient norm, or the KKT residual for a criterion with a kink)."""
+    """A fitted criterion; ``criterion`` is the name of its row in the table
+    and ``gradient_norm`` its optimality certificate (the gradient norm,
+    or the KKT residual for a criterion with a kink)."""
 
     beta: np.ndarray
     criterion_value: float
@@ -270,7 +271,6 @@ def _minimize(problem: _Problem, beta, opts: SolverOptions):
 
 def _fit(
     criterion: GreCriterion,
-    label: str,
     data: Dataset,
     opts: Optional[SolverOptions],
     weights: Optional[np.ndarray],
@@ -286,7 +286,8 @@ def _fit(
             raise ValueError("hypothesis dimension does not match the design")
         if hypothesis.q == data.p:
             value = float(np.sum(w * criterion.rho(z)))
-            return FitResult(np.zeros(data.p), value, float("nan"), 0, True, label)
+            return FitResult(np.zeros(data.p), value, float("nan"), 0, True,
+                             criterion.name)
         basis = hypothesis.null_basis()
         x = x @ basis
     problem = _Problem(criterion, x, z, w)
@@ -313,10 +314,10 @@ def _fit(
         value = float(np.sum(w * criterion.rho(z - x @ coef)))
     beta = coef if basis is None else basis @ coef
     converged = cert <= opts.tol_gradient or cert <= problem.rounding_floor(coef)
-    result = FitResult(beta, value, cert, iterations, converged, label)
+    result = FitResult(beta, value, cert, iterations, converged, criterion.name)
     if not converged:
         raise ConvergenceError(
-            f"{label} fit has no optimality certificate after {iterations} "
+            f"{criterion.name} fit has no optimality certificate after {iterations} "
             f"iterations (residual {cert:.3g} > {opts.tol_gradient:g} and above "
             f"rounding)", result)
     return result
@@ -332,9 +333,9 @@ def fit_gre(
     """Minimize any criterion of the table, optionally over {b : H'b = 0}.
 
     Every criterion is convex in beta, so the returned point is a global
-    minimizer; ``FitResult.criterion`` is the criterion's name.
+    minimizer.
     """
-    return _fit(criterion, criterion.name, data, opts, weights, hypothesis)
+    return _fit(criterion, data, opts, weights, hypothesis)
 
 
 def fit_lpre(
@@ -349,7 +350,7 @@ def fit_lpre(
     starting point.  Raises ConvergenceError (with the best iterate
     attached) if the gradient norm does not reach ``tol_gradient``.
     """
-    return _fit(criteria.PRODUCT, "lpre", data, opts, weights, None)
+    return _fit(criteria.PRODUCT, data, opts, weights, None)
 
 
 def fit_constrained_lpre(
@@ -362,7 +363,7 @@ def fit_constrained_lpre(
 
     With q = p the null space is {0} and beta = 0 is returned directly.
     """
-    return _fit(criteria.PRODUCT, "lpre", data, opts, weights, hypothesis)
+    return _fit(criteria.PRODUCT, data, opts, weights, hypothesis)
 
 
 def fit_lare(
@@ -371,12 +372,12 @@ def fit_lare(
     weights: Optional[np.ndarray] = None,
 ) -> FitResult:
     """Minimize the additive relative-error criterion."""
-    return _fit(criteria.SUM, "lare", data, opts, weights, None)
+    return _fit(criteria.SUM, data, opts, weights, None)
 
 
 def fit_ls_log(data: Dataset, weights: Optional[np.ndarray] = None) -> FitResult:
     """Least squares of log y on x (the solver's starting point is exact)."""
-    return _fit(criteria.CRITERIA["ls_log"], "ls_log", data, None, weights, None)
+    return _fit(criteria.CRITERIA["ls_log"], data, None, weights, None)
 
 
 def fit_lad_log(
@@ -385,4 +386,4 @@ def fit_lad_log(
     weights: Optional[np.ndarray] = None,
 ) -> FitResult:
     """Least absolute deviations of log y on x."""
-    return _fit(criteria.CRITERIA["lad_log"], "lad_log", data, opts, weights, None)
+    return _fit(criteria.CRITERIA["lad_log"], data, opts, weights, None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import kv
-from scipy.stats import kstest
+from scipy.stats import geninvgauss, kstest
 
 from relerr.distributions import (
     EFFICIENT_KINDS,
@@ -44,6 +44,20 @@ class TestNormalizingConstants:
         xs = np.array([0.1, 0.5, 0.9, 1.5, 3.0, 7.0])
         np.testing.assert_allclose(
             density(law, xs), density(law, 1.0 / xs) / xs**2, rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", EFFICIENT_KINDS)
+    def test_unnormalized_density_matches_paper_g(self, kind):
+        # the paper writes each density as exp(-g(a, b) - log x) in the two
+        # relative errors a = |1 - x| and b = |1 - 1/x|
+        g = {
+            "lpre_efficient": lambda a, b: a * b,
+            "lare_efficient": lambda a, b: a + b,
+            "max_efficient": np.maximum,
+            "ls_like_efficient": lambda a, b: a**2 + b**2,
+        }[kind]
+        xs = np.geomspace(0.05, 20.0, 500)
+        expected = np.exp(-g(np.abs(1.0 - xs), np.abs(1.0 - 1.0 / xs)) - np.log(xs))
+        np.testing.assert_allclose(unnormalized_density(kind, xs), expected, rtol=1e-10)
 
     def test_unnormalized_density_zero_for_nonpositive(self):
         vals = unnormalized_density("lpre_efficient", np.array([-1.0, 0.0, 1.0]))
@@ -104,6 +118,11 @@ class TestSampling:
         probe = np.quantile(draws, [0.1, 0.25, 0.5, 0.75, 0.9])
         for q, x in zip([0.1, 0.25, 0.5, 0.75, 0.9], probe):
             assert cdf(x) == pytest.approx(q, abs=0.015)
+
+    def test_product_sampler_draws_gig(self):
+        # the product-efficient law is exactly GIG(p = 0, b = 2)
+        draws = sample(ErrorLaw("lpre_efficient"), np.random.default_rng(1), 50_000)
+        assert kstest(draws, geninvgauss(p=0, b=2).cdf).pvalue > 0.01
 
     def test_sampler_reproducible(self):
         law = ErrorLaw("lare_efficient")

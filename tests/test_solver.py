@@ -169,7 +169,7 @@ class TestGreFits:
     def test_lare_minimizes_sum_criterion(self, rng):
         data, _ = random_dataset(rng, n=50)
         fit = fit_lare(data)
-        assert fit.criterion == "lare"
+        assert fit.criterion == "sum"
         base = gre_loss(SUM, fit.beta, data)
         for _ in range(200):
             trial = fit.beta + rng.uniform(-0.05, 0.05, data.p)
