@@ -41,53 +41,59 @@ EXP_BOUND = 700.0
 class GreCriterion:
     """One row of the criteria table: rho(r) = kink * |r| + sigma(r).
 
-    ``sigma`` maps an array of log residuals to (sigma, sigma', sigma''),
-    each vectorized; sigma must be convex and twice continuously
+    ``sigma(r)`` maps an array of log residuals to (sigma, sigma',
+    sigma''), each vectorized, and ``sigma(r, derivatives=False)`` to
+    sigma alone; sigma must be convex and twice continuously
     differentiable, and sigma(0) = sigma'(0) = 0.
     """
 
     name: str
     kink: float
-    sigma: Callable[[np.ndarray], tuple] = field(repr=False)
+    sigma: Callable[..., tuple] = field(repr=False)
 
     def rho(self, r: np.ndarray) -> np.ndarray:
         """The loss of each log residual (inf where it overflows)."""
         with np.errstate(over="ignore"):
-            return self.kink * np.abs(r) + self.sigma(r)[0]
+            return self.kink * np.abs(r) + self.sigma(r, derivatives=False)
 
 
-def _product_sigma(r):
+def _product_sigma(r, derivatives=True):
     t, u = np.exp(r), np.exp(-r)  # y e^{-x'b} and e^{x'b} / y
-    return t + u - 2.0, t - u, t + u
+    value = t + u - 2.0
+    return (value, t - u, t + u) if derivatives else value
 
 
-def _sum_sigma(r):
+def _sum_sigma(r, derivatives=True):
     a = np.abs(r)
     s = np.sinh(a)
-    return 2.0 * (s - a), 2.0 * np.sign(r) * (np.cosh(a) - 1.0), 2.0 * s
+    value = 2.0 * (s - a)
+    return (value, 2.0 * np.sign(r) * (np.cosh(a) - 1.0), 2.0 * s) if derivatives else value
 
 
-def _max_sigma(r):
+def _max_sigma(r, derivatives=True):
     a = np.abs(r)
     e = np.exp(a)
-    return e - 1.0 - a, np.sign(r) * (e - 1.0), e
+    value = e - 1.0 - a
+    return (value, np.sign(r) * (e - 1.0), e) if derivatives else value
 
 
-def _asymmetric_sigma(r):
-    s = np.sign(r)
+def _asymmetric_sigma(r, derivatives=True):
     t, u = np.exp(r), np.exp(-r)
     eb = np.exp(np.abs(t - 1.0))  # e^b
     value = np.abs(1.0 - u) + eb - 1.0 - 2.0 * np.abs(r)
+    if not derivatives:
+        return value
+    s = np.sign(r)
     return value, s * (u + t * eb - 2.0), t * t * eb + s * (t * eb - u)
 
 
-def _ls_sigma(r):
-    return r * r, 2.0 * r, np.full_like(r, 2.0)
+def _ls_sigma(r, derivatives=True):
+    return (r * r, 2.0 * r, np.full_like(r, 2.0)) if derivatives else r * r
 
 
-def _lad_sigma(r):
+def _lad_sigma(r, derivatives=True):
     zero = np.zeros_like(r)
-    return zero, zero, zero
+    return (zero, zero, zero) if derivatives else zero
 
 
 PRODUCT = GreCriterion("product", 0.0, _product_sigma)

@@ -94,10 +94,9 @@ def unnormalized_density(kind: str, x) -> np.ndarray:
     if kind not in EFFICIENT_KINDS:
         raise ValueError(f"no efficiency density for kind {kind!r}")
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = _weight(kind, np.log(x[pos])) / x[pos]
-    return out
+    # log x is -inf or NaN off x > 0, where the density is 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0, _weight(kind, np.log(x)) / x, 0.0)
 
 
 def _half_line(kind: str, fn) -> float:

@@ -1,15 +1,21 @@
 """Monte Carlo harness.
 
 Generates data from the multiplicative model with standard normal
-covariates, runs the configured estimators replication by replication,
+covariates, runs the configured estimators over chunks of replications,
 and aggregates bias / Monte Carlo SE / mean estimated SE / coverage, or
 rejection rates of the criterion-difference test over a grid of true
 coefficient vectors.
 
+Each chunk is fitted as one batch of the solver: one stacked rank check,
+one batched fit per estimator, batched sandwich and OLS covariances; a
+random-weighting covariance is one batch of resamples per replication.
+With ``n_jobs`` > 1 a process pool maps the chunks.
+
 Determinism contract: the per-replication RNG stream is derived from
-(seed, replication index), so results are identical for any execution
-order or worker count.  Failed replications are skipped and logged as
-one warning on the ``relerr`` logger.
+(seed, replication index), and each replication draws its data and then,
+in estimator order, its random weights from it, so results are identical
+for any chunking, execution order or worker count.  Failed replications
+are skipped and logged as one warning on the ``relerr`` logger.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import csv
+import itertools
 import logging
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import inference
+from . import inference, solver
 from .data import Dataset
 from .distributions import ErrorLaw, Sampler
 from .errors import RelerrError
@@ -93,44 +100,81 @@ def generate_dataset(config: SimulationConfig, rng: np.random.Generator) -> Data
     return Dataset(x, y)
 
 
-def _estimation_rep(config: SimulationConfig, rep: int):
-    """One replication: beta-hat and reported SEs per estimator."""
-    rng = _rep_rng(config.seed, rep)
-    data = generate_dataset(config, rng)
-    out = {}
+def _draw_chunk(config: SimulationConfig, reps):
+    """Each replication's RNG stream and dataset, and the datasets stacked
+    into designs x (B, n, p) and log responses z (B, n)."""
+    rngs = [_rep_rng(config.seed, rep) for rep in reps]
+    datasets = [generate_dataset(config, rng) for rng in rngs]
+    x = np.stack([data.x for data in datasets])
+    return rngs, datasets, x, np.log(np.stack([data.y for data in datasets]))
+
+
+def _estimation_chunk(config: SimulationConfig, reps):
+    """Replications ``reps`` as one batch: per replication, beta-hat and
+    reported SEs by estimator, or the RelerrError it raised.
+
+    Each replication draws its data and then, in estimator order, its
+    random weights from its own stream, as a replication run alone would.
+    """
+    rngs, datasets, x, z = _draw_chunk(config, reps)
+    outcomes = solver._rank_errors(x)
+    out = [{} for _ in reps]
     for name in config.estimators:
+        live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        if not live:
+            break
         est = inference.ESTIMATORS[name]
-        fit = est.fit(data)
-        see = (est.covariance_of(fit, data, config.resample_size, rng).standard_errors()
-               if config.compute_see else None)
-        out[name] = (fit.beta, see)
-    return out
+        fits = solver._fit_batch(est.criterion, x[live], z[live], np.ones((len(live), config.n)))
+        for i, fit in zip(live, fits):
+            if isinstance(fit, RelerrError):
+                outcomes[i] = fit
+            else:
+                out[i][name] = (fit.beta, None)
+        if not config.compute_see:
+            continue
+        live = [i for i in live if outcomes[i] is None]
+        covs = est._covariances(np.array([out[i][name][0] for i in live]),
+                                [datasets[i] for i in live], x[live], z[live],
+                                config.resample_size, [rngs[i] for i in live])
+        for i, cov in zip(live, covs):
+            if isinstance(cov, RelerrError):
+                outcomes[i] = cov
+            else:
+                out[i][name] = (out[i][name][0], cov.standard_errors())
+    return [result if outcome is None else outcome for outcome, result in zip(outcomes, out)]
+
+
+def _chunk_outcomes(task, config, reps):
+    """task(config, reps), or its error for every replication of the chunk."""
+    try:
+        return task(config, reps)
+    except RelerrError as exc:
+        return [exc] * len(reps)
 
 
 def _run_reps(task, config, n_jobs):
-    """Run one task(config, rep) per replication, skipping failed reps.
+    """Run task(config, reps) over chunks of replications and return the
+    results of those that did not fail, in replication order.
 
-    Failed replications are logged as one warning on the ``relerr``
-    logger; more than 1% of them raise RelerrError.
+    ``task`` returns per replication of its chunk a result or the
+    RelerrError it raised.  The chunks are sized by the solver's batch
+    budget; with ``n_jobs`` > 1 a process pool maps them.  Failed
+    replications are logged as one warning on the ``relerr`` logger; more
+    than 1% of them raise RelerrError.
     """
-    results = {}
-    failures = collections.Counter()
-    reps = range(config.replications)
+    size = solver._batch_size(config.n, config.p)
+    chunks = [range(start, min(start + size, config.replications))
+              for start in range(0, config.replications, size)]
     if n_jobs and n_jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = {pool.submit(task, config, rep): rep for rep in reps}
-            for fut in concurrent.futures.as_completed(futures):
-                rep = futures[fut]
-                try:
-                    results[rep] = fut.result()
-                except RelerrError as exc:
-                    failures[type(exc).__name__] += 1
+            outcomes = pool.map(_chunk_outcomes, itertools.repeat(task),
+                                itertools.repeat(config), chunks)
+            outcomes = [outcome for chunk in outcomes for outcome in chunk]
     else:
-        for rep in reps:
-            try:
-                results[rep] = task(config, rep)
-            except RelerrError as exc:
-                failures[type(exc).__name__] += 1
+        outcomes = [outcome for chunk in chunks
+                    for outcome in _chunk_outcomes(task, config, chunk)]
+    failures = collections.Counter(type(outcome).__name__ for outcome in outcomes
+                                   if isinstance(outcome, RelerrError))
     failed = sum(failures.values())
     if failed:
         _log.warning("%d/%d replications failed (%s)", failed, config.replications,
@@ -139,15 +183,14 @@ def _run_reps(task, config, n_jobs):
         raise RelerrError(
             f"{failed}/{config.replications} replications failed"
         )
-    # order-independent: aggregate in replication order
-    return [results[rep] for rep in sorted(results)]
+    return [outcome for outcome in outcomes if not isinstance(outcome, RelerrError)]
 
 
 def run_estimation_study(
     config: SimulationConfig, n_jobs: Optional[int] = None
 ) -> list[MetricsRow]:
     """Bias / SE / SEE / 95% coverage per estimator and coefficient."""
-    reps = _run_reps(_estimation_rep, config, n_jobs)
+    reps = _run_reps(_estimation_chunk, config, n_jobs)
     beta_true = np.asarray(config.beta_true)
     rows = []
     for est in config.estimators:
@@ -171,14 +214,20 @@ def run_estimation_study(
 
 @dataclass(frozen=True)
 class _PowerTask:
-    config: SimulationConfig
-    zero_coefs: tuple
+    """The criterion-difference test of one hypothesis, with its null
+    basis, on each replication of a chunk."""
 
-    def __call__(self, config, rep):
-        rng = _rep_rng(config.seed, rep)
-        data = generate_dataset(config, rng)
-        hyp = LinearHypothesis.zero_coefs(self.zero_coefs, config.p)
-        return inference.lpre_anova_test(data, hyp).p_value
+    hypothesis: LinearHypothesis
+    basis: np.ndarray
+
+    def __call__(self, config, reps):
+        _, _, x, z = _draw_chunk(config, reps)
+        outcomes = solver._rank_errors(x)
+        live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        tests = inference._lpre_anova_tests(x[live], z[live], self.hypothesis, self.basis)
+        for i, test in zip(live, tests):
+            outcomes[i] = test if isinstance(test, RelerrError) else test.p_value
+        return outcomes
 
 
 def run_power_study(
@@ -194,11 +243,11 @@ def run_power_study(
     grid points where those entries are zero measure size, others power.
     """
     rows = []
-    zero_coefs = tuple(int(i) for i in hypothesis_coefs)
+    hypothesis = LinearHypothesis.zero_coefs(hypothesis_coefs, config.p)
+    task = _PowerTask(hypothesis, hypothesis.null_basis())
     for g, beta in enumerate(beta_grid):
         # distinct seed stream per grid point, still fully deterministic
         cfg = replace(config, beta_true=tuple(beta), seed=config.seed + 1_000_003 * g)
-        task = _PowerTask(cfg, zero_coefs)
         pvals = np.asarray(_run_reps(task, cfg, n_jobs))
         for alpha in alpha_levels:
             rows.append(PowerRow(tuple(float(b) for b in beta), float(alpha),

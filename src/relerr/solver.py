@@ -25,6 +25,16 @@ orthonormal basis of the hypothesis null space.  Every fit starts from
 the (weighted) least-squares fit of log y on its design, or from
 ``SolverOptions.initial_beta``; if the criterion overflows there, from
 the intercept alone at max log y.
+
+The Newton loop works on a batch: B problems of one shape (n, p), each
+with its own design (or one design shared by all), log y and weights.
+It forms (B, p, p) Hessians by batched matmul and takes batched solves;
+every problem keeps its own smoothing stage, line search, overflow
+restart, certificate and iteration count, and is frozen once it is done,
+so it ends where it would have ended alone.  The Monte Carlo studies and
+random weighting fit their replications and resamples this way, in
+batches of a fixed number of design elements; the public ``fit_*``
+functions are the batch of one.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import scipy.linalg
 
 from . import criteria
 from .criteria import GreCriterion
-from .data import Dataset, check_beta
+from .data import Dataset
 from .errors import ConvergenceError, NumericOverflowError, SingularDesignError
 
 #: smoothing widths of |r| followed, in order, for a criterion with a kink
@@ -134,79 +144,163 @@ class DesignReport:
         object.__setattr__(self, "singular", self.rank < self.p)
 
 
+def _ranks(x: np.ndarray):
+    """Numerical ranks and singular values of a stack of designs (B, n, p)."""
+    sv = np.linalg.svd(x, compute_uv=False)
+    tol = sv[:, :1] * max(x.shape[1:]) * np.finfo(float).eps
+    return np.sum(sv > tol, axis=1), sv
+
+
 def check_design(data: Dataset) -> DesignReport:
     """Rank report for the design matrix (via SVD)."""
-    sv = np.linalg.svd(data.x, compute_uv=False)
-    tol = sv[0] * max(data.n, data.p) * np.finfo(float).eps
-    rank = int(np.sum(sv > tol))
-    return DesignReport(rank=rank, p=data.p, smallest_singular_value=float(sv[-1]))
+    rank, sv = _ranks(data.x[None])
+    return DesignReport(rank=int(rank[0]), p=data.p,
+                        smallest_singular_value=float(sv[0, -1]))
+
+
+def _rank_errors(x: np.ndarray) -> list:
+    """For each design of a stack (B, n, p), from one stacked SVD: None if
+    it has full column rank, else its SingularDesignError."""
+    p = x.shape[2]
+    return [None if rank == p else SingularDesignError(
+        f"design matrix has rank {rank} < p = {p}") for rank in _ranks(x)[0]]
 
 
 def _require_full_rank(data: Dataset):
-    report = check_design(data)
-    if report.singular:
-        raise SingularDesignError(
-            f"design matrix has rank {report.rank} < p = {report.p}"
-        )
+    _one(_rank_errors(data.x[None]))
 
 
-class _Problem:
-    """sum_i w_i rho(z_i - x_i'beta) and its smoothed versions."""
+def _one(entries: list):
+    """The single entry of a batch of one; raised if it is an error."""
+    [entry] = entries
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+#: elements of the design (problems x n x p) fitted in one batch: larger
+#: batches save little interpreter time and cost memory
+_BATCH_ELEMENTS = 40_000
+
+
+def _batch_size(n: int, p: int) -> int:
+    """How many problems of shape (n, p) go into one batch."""
+    return max(1, _BATCH_ELEMENTS // (n * p))
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u with a u = b for each row of a stack; least squares for a row
+    whose a is not positive definite."""
+    try:
+        np.linalg.cholesky(a)
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(a) > 1:
+            return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
+        # a small smoothing width can leave directions with almost no
+        # curvature; solve within the ones that have it
+        return np.linalg.lstsq(a[0], b[0], rcond=None)[0][None]
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a_b @ v_b for each row b; ``a`` may be one matrix shared by all."""
+    return (a @ v[:, :, None])[:, :, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v * v).sum(axis=1))
+
+
+class _Batch:
+    """B problems of one shape: sum_i w_bi rho(z_bi - x_bi'beta_b), and its
+    smoothed versions.
+
+    ``x`` is (B, n, p), or (n, p) for problems that share one design;
+    ``z`` and ``w`` are (B, n).  Methods evaluate every problem, or those
+    whose indices are ``rows``, at their beta (k, p) and smoothing width
+    eps (k,).  Overflow gives inf or NaN; callers run under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+    """
 
     def __init__(self, criterion: GreCriterion, x, z, w):
+        self.criterion = criterion
         self.kink = criterion.kink
         self.sigma = criterion.sigma
         self.x, self.z, self.w = x, z, w
 
-    def value(self, beta, eps) -> float:
-        """Smoothed criterion at beta; inf where it overflows."""
-        return self._evaluate(beta, eps)[0]
+    def subset(self, rows) -> "_Batch":
+        return _Batch(self.criterion, *self._data(rows))
 
-    def gradient_norm(self, beta, eps) -> float:
-        _, _, d1, _ = self._evaluate(beta, eps)
-        norm = float(np.linalg.norm(self.x.T @ (self.w * d1)))
-        return norm if np.isfinite(norm) else np.inf
+    def _data(self, rows):
+        if rows is None:
+            return self.x, self.z, self.w
+        return (self.x if self.x.ndim == 2 else self.x[rows]), self.z[rows], self.w[rows]
 
-    def _evaluate(self, beta, eps):
-        r = self.z - self.x @ beta
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, d1, d2 = self.sigma(r)
-            if self.kink:
-                q = np.sqrt(r * r + eps * eps)
-                value = value + self.kink * (q - eps)
-                d1 = d1 + self.kink * (r / q)
-                d2 = d2 + self.kink * (eps * eps / q**3)
-            total = float(np.sum(self.w * value))
-        return (total if np.isfinite(total) else np.inf), r, d1, d2
+    def _residuals(self, rows, beta):
+        x, z, w = self._data(rows)
+        return x, z - _matvec(x, beta), w
+
+    def value(self, beta, eps, rows=None) -> np.ndarray:
+        """Smoothed criterion of each row."""
+        _, r, w = self._residuals(rows, beta)
+        value = self.sigma(r, derivatives=False)
+        if self.kink:
+            e = eps[:, None]
+            value = value + self.kink * (np.sqrt(r * r + e * e) - e)
+        return (w * value).sum(axis=1)
+
+    def _derivatives(self, beta, eps, rows=None):
+        x, r, w = self._residuals(rows, beta)
+        xt = np.swapaxes(x, -1, -2)
+        value, slope, d2 = self.sigma(r)
+        d1 = slope
+        if self.kink:
+            e = eps[:, None]
+            q = np.sqrt(r * r + e * e)
+            value = value + self.kink * (q - e)
+            d1 = d1 + self.kink * (r / q)
+            d2 = d2 + self.kink * (e * e / q**3)
+        grad = -_matvec(xt, w * d1)
+        return (w * value).sum(axis=1), grad, (x, xt, r, w, slope, d2)
+
+    def gradient_norm(self, beta, eps, rows=None) -> np.ndarray:
+        return _norm(self._derivatives(beta, eps, rows)[1])
 
     def parts(self, beta, eps):
-        """(value, gradient, Hessian, certificate) of the stage at beta."""
-        value, r, d1, d2 = self._evaluate(beta, eps)
-        x, w = self.x, self.w
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = -(x.T @ (w * d1))
-            hess = (x * (w * d2)[:, None]).T @ x
-            if not self.kink:
-                cert = float(np.linalg.norm(grad))
-            else:
-                # KKT residual of the unsmoothed criterion: the subgradient
-                # with sign(r) off the kink and least-squares multipliers on it
-                at_kink = np.abs(r) <= _AT_KINK
-                slope = self.sigma(r)[1] + self.kink * np.sign(r) * ~at_kink
-                sub = -(x.T @ (w * slope))
-                if np.any(at_kink):
-                    a = self.kink * (x[at_kink] * w[at_kink, None]).T
-                    sub = sub - a @ _box_lstsq(a, sub)
-                cert = float(np.linalg.norm(sub))
-        return value, grad, hess, (cert if np.isfinite(cert) else np.inf)
+        """(value, gradient, Hessian, certificate) of every row's stage at
+        its beta; inf or NaN where they overflow.  A kinked row's
+        certificate is computed in the last stage only, the one that reads
+        it, and is inf before."""
+        value, grad, (x, xt, r, w, slope, d2) = self._derivatives(beta, eps)
+        hess = xt @ (x * (w * d2)[:, :, None])
+        if not self.kink:
+            return value, grad, hess, _norm(grad)
+        cert = np.full(len(beta), np.inf)
+        last = np.flatnonzero(eps == EPS_SCHEDULE[-1])
+        if last.size:
+            cert[last] = self._kkt_residual(x, last, r[last], w[last], slope[last])
+        return value, grad, hess, cert
 
-    def rounding_floor(self, beta) -> float:
+    def _kkt_residual(self, x, rows, r, w, slope):
+        """KKT residual of the unsmoothed criterion at the given rows of
+        ``x``: the subgradient with sign(r) off the kink and least-squares
+        multipliers on it."""
+        x = x if x.ndim == 2 else x[rows]
+        at_kink = np.abs(r) <= _AT_KINK
+        sub = -_matvec(np.swapaxes(x, -1, -2), w * (slope + self.kink * np.sign(r) * ~at_kink))
+        for b in np.flatnonzero(at_kink.any(axis=1)):
+            k = at_kink[b]
+            a = self.kink * ((x if x.ndim == 2 else x[b])[k] * w[b, k, None]).T
+            sub[b] -= a @ _box_lstsq(a, sub[b])
+        return _norm(sub)
+
+    def rounding_floor(self, beta, rows) -> np.ndarray:
         """The certificate that rounding alone can leave at beta: 1000
         rounding units of the summed magnitudes of the gradient's terms."""
-        r = self.z - self.x @ beta
-        with np.errstate(over="ignore", invalid="ignore"):
-            size = np.abs(self.x).T @ (self.w * (np.abs(self.sigma(r)[1]) + self.kink))
-        return 1e3 * np.finfo(float).eps * float(np.linalg.norm(size))
+        x, r, w = self._residuals(rows, beta)
+        size = _matvec(np.abs(np.swapaxes(x, -1, -2)),
+                       w * (np.abs(self.sigma(r)[1]) + self.kink))
+        return 1e3 * np.finfo(float).eps * _norm(size)
 
 
 def _box_lstsq(a, b) -> np.ndarray:
@@ -223,50 +317,169 @@ def _box_lstsq(a, b) -> np.ndarray:
         held |= over
 
 
-def _minimize(problem: _Problem, beta, opts: SolverOptions):
-    """Damped Newton through the smoothing stages.
+def _line_search(batch: _Batch, search, beta, value, grad, step, slope, eps):
+    """Armijo backtracking along each row's step, t = 1, 1/2, ... (80
+    tries), for the rows of ``batch`` where ``search`` is set.  Returns
+    every row's beta, moved to the accepted points, and which rows found
+    none."""
+    # Below the rounding noise of the value the Armijo test is
+    # meaningless, so such a row backtracks on the gradient norm instead.
+    noisy = np.abs(slope) <= 1e-10 * (1.0 + np.abs(value))
+    merit = _norm(grad)
+    beta, left = beta.copy(), search.copy()
+    t = 1.0
+    for _ in range(80):
+        if not left.any():
+            break
+        rows = None if left.all() else np.flatnonzero(left)  # None: every row
+        at = slice(None) if rows is None else rows
+        cand = beta[at] + t * step[at]
+        by_norm = noisy[at]
+        if by_norm.any():
+            ok = batch.gradient_norm(cand, eps[at], rows) < merit[at]
+        if not by_norm.all():
+            armijo = batch.value(cand, eps[at], rows) <= value[at] + ARMIJO_C * t * slope[at]
+            ok = np.where(by_norm, ok, armijo) if by_norm.any() else armijo
+        accepted = np.flatnonzero(left)[ok] if rows is None else rows[ok]
+        beta[accepted] = cand[ok]
+        left[accepted] = False
+        t *= 0.5
+    return beta, left
 
-    Returns (beta, value, iterations, certificate).  Each stage takes at most
+
+def _minimize(batch: _Batch, beta: np.ndarray, opts: SolverOptions):
+    """Damped Newton through the smoothing stages, for every row at once.
+
+    Each row keeps its own stage, step count and line search, and is
+    frozen once its last stage ends.  A stage takes at most
     ``max_iterations`` steps.  A smoothing stage ends once its Newton
     decrement is below its own width eps; the last one also waits for the
     certificate.  Any stage ends when the line search fails.
+
+    Returns (beta, value, iterations, certificate, overflow) per row, where
+    ``overflow`` marks the rows whose criterion overflowed at the start of
+    a stage; they are left there.
     """
-    iterations = 0
-    stages = EPS_SCHEDULE if problem.kink else (0.0,)
-    for eps in stages:
-        value, grad, hess, cert = problem.parts(beta, eps)
-        if value == np.inf:
-            raise NumericOverflowError("criterion overflows at the starting point")
-        for _ in range(opts.max_iterations):
-            if not eps and cert <= opts.tol_gradient:
-                break
-            try:
-                factor = scipy.linalg.cho_factor(hess, check_finite=False)
-                step = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
-            except scipy.linalg.LinAlgError:
-                # a small smoothing width can leave directions with almost
-                # no curvature; step within the ones that have it
-                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            slope = float(grad @ step)
-            if -slope <= eps and (eps != stages[-1] or cert <= opts.tol_gradient):
-                break
-            iterations += 1
-            # Below the rounding noise of the value the Armijo test is
-            # meaningless, so backtrack on the gradient norm instead.
-            noisy = abs(slope) <= 1e-10 * (1.0 + abs(value))
-            merit = np.linalg.norm(grad) if noisy else None
-            t = 1.0
-            for _ in range(80):
-                cand = beta + t * step
-                if (problem.gradient_norm(cand, eps) < merit if noisy else
-                        problem.value(cand, eps) <= value + ARMIJO_C * t * slope):
-                    break
-                t *= 0.5
-            else:
-                break
-            beta = cand
-            value, grad, hess, cert = problem.parts(beta, eps)
-    return beta, value, iterations, cert
+    stages = np.array(EPS_SCHEDULE if batch.kink else (0.0,))
+    last = len(stages) - 1
+    count, p = beta.shape
+    out = (beta.copy(), np.empty(count), np.zeros(count, dtype=int), np.empty(count),
+           np.zeros(count, dtype=bool))
+    index = np.arange(count)  # the running rows, as rows of the input
+    beta = beta.copy()
+    stage = np.zeros(count, dtype=int)
+    taken = np.zeros(count, dtype=int)  # steps in the current stage
+    iterations = np.zeros(count, dtype=int)
+    while True:
+        # every running row is at a new point or in a new stage
+        eps = stages[stage]
+        value, grad, hess, cert = batch.parts(beta, eps)
+        overflow = ~(value < np.inf)
+        if overflow.any():  # such a row ends here; keep its step finite
+            hess[overflow], grad[overflow] = np.eye(p), 0.0
+        certified = cert <= opts.tol_gradient
+        ended = overflow | (taken >= opts.max_iterations)
+        step = _solve(hess, -grad)
+        slope = (grad * step).sum(axis=1)
+        if batch.kink:
+            ended |= (-slope <= eps) & ((stage != last) | certified)
+        else:  # one stage, which ends once certified
+            ended |= certified
+        go = ~ended
+        iterations += go
+        taken += go
+        if go.any():
+            beta, failed = _line_search(batch, go, beta, value, grad, step, slope, eps)
+            ended |= failed
+        done = ended & ((stage == last) | overflow)
+        stage += ended
+        taken[ended] = 0
+        if done.any():
+            for kept, now in zip(out, (beta, value, iterations, cert, overflow)):
+                kept[index[done]] = now[done]
+            running = np.flatnonzero(~done)
+            if not running.size:
+                return out
+            index, beta, stage, taken, iterations = (
+                index[running], beta[running], stage[running], taken[running],
+                iterations[running])
+            batch = batch.subset(running)
+
+
+def _fit_batch(
+    criterion: GreCriterion,
+    x: np.ndarray,
+    z: np.ndarray,
+    w: np.ndarray,
+    opts: Optional[SolverOptions] = None,
+    basis: Optional[np.ndarray] = None,
+) -> list:
+    """Fit B problems of one shape (n, p), in batches of ``_batch_size``.
+
+    ``x`` is (B, n, p), or (n, p) for problems that share one design;
+    ``z = log y`` and ``w`` are (B, n).  With ``basis``, an orthonormal
+    basis of a hypothesis null space, the fits run on x @ basis.  The
+    caller checks the rank.  Returns per problem its FitResult, or the
+    ConvergenceError or NumericOverflowError its fit raises.
+    """
+    opts = opts or SolverOptions()
+    count, n = z.shape
+    p = x.shape[-1]
+    if not count:
+        return []
+    size = _batch_size(n, p)
+    if count > size:
+        return [fit for s in range(0, count, size) for fit in _fit_batch(
+            criterion, x if x.ndim == 2 else x[s:s + size], z[s:s + size],
+            w[s:s + size], opts, basis)]
+    if basis is not None:
+        if basis.shape[1] == 0:  # H'b = 0 leaves b = 0 alone
+            value = np.sum(w * criterion.rho(z), axis=1)
+            return [FitResult(np.zeros(p), float(v), float("nan"), 0, True, criterion.name)
+                    for v in value]
+        x = x @ basis
+    batch = _Batch(criterion, x, z, w)
+    xtw = np.swapaxes(x, -1, -2) * w[:, None, :]
+    start = _solve(xtw @ x, _matvec(xtw, z))  # weighted least squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        if opts.initial_beta is not None:
+            initial = np.asarray(opts.initial_beta, dtype=float).ravel()
+            if initial.shape[0] != p:
+                raise ValueError(f"beta has length {initial.shape[0]}, expected {p}")
+            initial = np.tile(initial if basis is None else basis.T @ initial, (count, 1))
+            usable = np.isfinite(batch.value(initial, np.full(count, EPS_SCHEDULE[0])))
+            start[usable] = initial[usable]
+        coef, value, iterations, cert, overflow = _minimize(batch, start, opts)
+        if overflow.any():
+            # The asymmetric row grows like exp(e^r) and overflows for
+            # r > 6.6; start again on the intercept alone at max log y,
+            # where every residual is <= 0.
+            again = np.flatnonzero(overflow)
+            intercept = np.zeros((again.size, p))
+            intercept[:, 0] = z[again].max(axis=1)
+            (coef[again], value[again], iterations[again], cert[again],
+             overflow[again]) = _minimize(batch.subset(again), intercept if basis is None
+                                          else intercept @ basis, opts)
+        if criterion.kink:  # the unsmoothed criterion
+            value = np.sum(w * criterion.rho(z - _matvec(x, coef)), axis=1)
+        cert[~np.isfinite(cert)] = np.inf
+        converged = cert <= opts.tol_gradient
+        loose = np.flatnonzero(~converged)
+        if loose.size:
+            converged[loose] = cert[loose] <= batch.rounding_floor(coef[loose], loose)
+    beta = coef if basis is None else coef @ basis.T
+    fits = []
+    for b in range(count):
+        if overflow[b]:
+            fits.append(NumericOverflowError("criterion overflows at the starting point"))
+            continue
+        fit = FitResult(beta[b], float(value[b]), float(cert[b]), int(iterations[b]),
+                        bool(converged[b]), criterion.name)
+        fits.append(fit if fit.converged else ConvergenceError(
+            f"{criterion.name} fit has no optimality certificate after {fit.iterations} "
+            f"iterations (residual {fit.gradient_norm:.3g} > {opts.tol_gradient:g} and "
+            f"above rounding)", fit))
+    return fits
 
 
 def _fit(
@@ -276,51 +489,15 @@ def _fit(
     weights: Optional[np.ndarray],
     hypothesis: Optional[LinearHypothesis],
 ) -> FitResult:
-    opts = opts or SolverOptions()
+    """One fit: the batch of one."""
     _require_full_rank(data)
-    z = np.log(data.y)
     w = np.ones(data.n) if weights is None else np.asarray(weights, dtype=float)
-    x, basis = data.x, None
+    basis = None
     if hypothesis is not None:
         if hypothesis.p != data.p:
             raise ValueError("hypothesis dimension does not match the design")
-        if hypothesis.q == data.p:
-            value = float(np.sum(w * criterion.rho(z)))
-            return FitResult(np.zeros(data.p), value, float("nan"), 0, True,
-                             criterion.name)
         basis = hypothesis.null_basis()
-        x = x @ basis
-    problem = _Problem(criterion, x, z, w)
-
-    sw = np.sqrt(w)
-    start = np.linalg.lstsq(x * sw[:, None], z * sw, rcond=None)[0]
-    if opts.initial_beta is not None:
-        initial = check_beta(opts.initial_beta, data)
-        initial = initial if basis is None else basis.T @ initial
-        if np.isfinite(problem.value(initial, EPS_SCHEDULE[0])):
-            start = initial
-
-    try:
-        coef, value, iterations, cert = _minimize(problem, start, opts)
-    except NumericOverflowError:
-        # The asymmetric row grows like exp(e^r) and overflows for r > 6.6;
-        # start again on the intercept alone at max log y, where every
-        # residual is <= 0.
-        intercept = np.zeros(data.p)
-        intercept[0] = z.max()
-        start = intercept if basis is None else basis.T @ intercept
-        coef, value, iterations, cert = _minimize(problem, start, opts)
-    if criterion.kink:  # the unsmoothed criterion
-        value = float(np.sum(w * criterion.rho(z - x @ coef)))
-    beta = coef if basis is None else basis @ coef
-    converged = cert <= opts.tol_gradient or cert <= problem.rounding_floor(coef)
-    result = FitResult(beta, value, cert, iterations, converged, criterion.name)
-    if not converged:
-        raise ConvergenceError(
-            f"{criterion.name} fit has no optimality certificate after {iterations} "
-            f"iterations (residual {cert:.3g} > {opts.tol_gradient:g} and above "
-            f"rounding)", result)
-    return result
+    return _one(_fit_batch(criterion, data.x, np.log(data.y)[None], w[None], opts, basis))
 
 
 def fit_gre(

@@ -173,15 +173,20 @@ class TestRandomWeighting:
     def test_failed_resample_fit_is_retried_then_counted(self, monkeypatch):
         data, _ = big_dataset(4, n=120)
         calls = []
-        fit_gre = solver.fit_gre
+        batches = []
+        fit_batch = solver._fit_batch
 
         def first_two_fail(*args, **kwargs):
-            calls.append(None)
-            if len(calls) <= 2:
-                raise ConvergenceError("no certificate")
-            return fit_gre(*args, **kwargs)
+            # resamples are fitted as batches: fail resample 0 in the first
+            # batch and again in the batch of its retry
+            fits = fit_batch(*args, **kwargs)
+            calls.extend(fits)
+            batches.append(None)
+            if len(batches) <= 2:
+                fits[0] = ConvergenceError("no certificate")
+            return fits
 
-        monkeypatch.setattr(solver, "fit_gre", first_two_fail)
+        monkeypatch.setattr(solver, "_fit_batch", first_two_fail)
         est = random_weight_covariance("lpre", data, n_resample=20,
                                        rng=np.random.default_rng(9))
         assert est.n_skipped == 1

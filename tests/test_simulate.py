@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from relerr import simulate
+from relerr import simulate, solver
+from relerr.data import Dataset
 from relerr.distributions import ErrorLaw, population_constants
 from relerr.errors import ConvergenceError
 from relerr.simulate import (
@@ -101,14 +102,13 @@ class TestEstimationStudy:
         assert all(math.isnan(r.see) and math.isnan(r.cp) for r in rows)
 
     def test_failed_replications_are_logged(self, monkeypatch, caplog):
-        rep_task = simulate._estimation_rep
+        chunk_task = simulate._estimation_chunk
 
-        def one_fails(config, rep):
-            if rep == 17:
-                raise ConvergenceError("no certificate")
-            return rep_task(config, rep)
+        def one_fails(config, reps):
+            return [ConvergenceError("no certificate") if rep == 17 else outcome
+                    for rep, outcome in zip(reps, chunk_task(config, reps))]
 
-        monkeypatch.setattr(simulate, "_estimation_rep", one_fails)
+        monkeypatch.setattr(simulate, "_estimation_chunk", one_fails)
         cfg = small_config(replications=200, n=30, estimators=("lpre",),
                            compute_see=False)
         with caplog.at_level(logging.WARNING, logger="relerr"):
@@ -118,6 +118,30 @@ class TestEstimationStudy:
         assert record.name == "relerr" and record.levelno == logging.WARNING
         assert "1/200" in record.getMessage()
         assert "ConvergenceError: 1" in record.getMessage()
+
+
+    def test_singular_replication_fails_alone(self, monkeypatch, caplog):
+        # the chunk's one stacked rank check flags replication 4 only
+        generate = simulate.generate_dataset
+        drawn = []
+
+        def fifth_is_singular(config, rng):
+            data = generate(config, rng)
+            drawn.append(None)
+            if len(drawn) == 5:
+                x = data.x.copy()
+                x[:, 2] = x[:, 1]
+                data = Dataset(x, data.y)
+            return data
+
+        monkeypatch.setattr(simulate, "generate_dataset", fifth_is_singular)
+        cfg = small_config(replications=200, n=30, compute_see=False)
+        with caplog.at_level(logging.WARNING, logger="relerr"):
+            rows = run_estimation_study(cfg)
+        assert len(rows) == 6
+        [record] = caplog.records
+        assert "1/200" in record.getMessage()
+        assert "SingularDesignError: 1" in record.getMessage()
 
 
 class TestPowerStudy:
@@ -139,6 +163,33 @@ class TestPowerStudy:
         a = run_power_study(cfg, [2], grid, (0.05,))
         b = run_power_study(cfg, [2], grid, (0.05,), n_jobs=2)
         assert a == b
+
+
+class TestBatchingDeterminism:
+    """The (seed, rep) contract holds for any batch size and worker count."""
+
+    @staticmethod
+    def batch_sizes(monkeypatch, config):
+        for rows in (1, 7):
+            monkeypatch.setattr(solver, "_BATCH_ELEMENTS", rows * config.n * config.p)
+            yield rows
+
+    def test_estimation_rows(self, monkeypatch):
+        cfg = small_config(replications=9, n=60, resample_size=8,
+                           estimators=("lpre", "ls", "lad"))
+        reference = run_estimation_study(cfg)
+        for _ in self.batch_sizes(monkeypatch, cfg):
+            assert run_estimation_study(cfg) == reference
+            assert run_estimation_study(cfg, n_jobs=2) == reference
+
+    def test_power_rows(self, monkeypatch):
+        cfg = small_config(replications=10, n=60, compute_see=False, seed=3)
+        grid = [(1.0, 0.5, 0.0), (1.0, 0.5, 0.3)]
+        alphas = (0.5, 0.2, 0.05)
+        reference = run_power_study(cfg, [2], grid, alphas)
+        for _ in self.batch_sizes(monkeypatch, cfg):
+            assert run_power_study(cfg, [2], grid, alphas) == reference
+            assert run_power_study(cfg, [2], grid, alphas, n_jobs=2) == reference
 
 
 class TestCsvWriters:

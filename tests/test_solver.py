@@ -14,6 +14,7 @@ from relerr.criteria import (
     lpre_gradient,
     lpre_loss,
 )
+from relerr import solver
 from relerr.data import Dataset, make_dataset
 from relerr.errors import ConvergenceError, SingularDesignError
 from relerr.solver import (
@@ -308,3 +309,73 @@ class TestKinkedCertificates:
             fit_lare(data, SolverOptions(max_iterations=1))
         assert info.value.result is not None
         assert info.value.result.gradient_norm > 1e-10
+
+
+# -- batches: one Newton loop fits many problems, each as if alone ----------
+
+BATCH = 4
+
+
+def batch_problems(p):
+    """BATCH correlated designs of one shape, their datasets and log y."""
+    datasets = [correlated_design(seed=s, p=p)[0] for s in range(20, 20 + BATCH)]
+    x = np.stack([d.x for d in datasets])
+    return datasets, x, np.log(np.stack([d.y for d in datasets]))
+
+
+class TestBatchEqualsSingleFits:
+    @pytest.mark.parametrize("p", [3, 13])
+    @pytest.mark.parametrize("name", sorted(CRITERIA))
+    def test_unweighted(self, name, p):
+        # the Monte Carlo studies: one design per problem
+        datasets, x, z = batch_problems(p)
+        fits = solver._fit_batch(CRITERIA[name], x, z, np.ones(z.shape))
+        for data, fit in zip(datasets, fits):
+            single = fit_gre(CRITERIA[name], data)
+            np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
+            assert fit.gradient_norm <= SolverOptions().tol_gradient
+
+    @pytest.mark.parametrize("p", [3, 13])
+    @pytest.mark.parametrize("name", sorted(CRITERIA))
+    def test_exponential_weights(self, name, p):
+        # random weighting: one design shared by every problem
+        data, _ = correlated_design(p=p)
+        w = np.random.default_rng(p).standard_exponential((BATCH, data.n))
+        z = np.broadcast_to(np.log(data.y), w.shape)
+        fits = solver._fit_batch(CRITERIA[name], data.x, z, w)
+        for weights, fit in zip(w, fits):
+            single = fit_gre(CRITERIA[name], data, weights=weights)
+            np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
+            assert fit.gradient_norm <= SolverOptions().tol_gradient
+
+    @pytest.mark.parametrize("p", [3, 13])
+    @pytest.mark.parametrize("name", sorted(CRITERIA))
+    def test_constrained(self, name, p):
+        datasets, x, z = batch_problems(p)
+        hyp = LinearHypothesis.zero_coefs([2] if p == 3 else [2, 7], p)
+        w = np.random.default_rng(p).standard_exponential(z.shape)
+        fits = solver._fit_batch(CRITERIA[name], x, z, w, basis=hyp.null_basis())
+        for data, weights, fit in zip(datasets, w, fits):
+            single = fit_gre(CRITERIA[name], data, weights=weights, hypothesis=hyp)
+            np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
+            assert fit.gradient_norm <= SolverOptions().tol_gradient
+
+    def test_uncertified_row_is_reported_alone(self):
+        # One Newton step per smoothing stage cannot certify a LARE fit of
+        # noisy data; exact responses are certified at their least-squares
+        # start.
+        opts = SolverOptions(max_iterations=1)
+        datasets, x, z = batch_problems(3)
+        z[1:] = (x[1:] @ np.array([1.0, 0.3, -0.2])[:, None])[:, :, 0]
+        w = np.ones(z.shape)
+        fits = solver._fit_batch(SUM, x, z, w, opts)
+        assert isinstance(fits[0], ConvergenceError)
+        assert fits[0].result.gradient_norm > opts.tol_gradient
+        with pytest.raises(ConvergenceError) as info:
+            fit_lare(datasets[0], opts)
+        np.testing.assert_allclose(fits[0].result.beta, info.value.result.beta,
+                                   rtol=0, atol=1e-10)
+        alone = solver._fit_batch(SUM, x[1:], z[1:], w[1:], opts)
+        for fit, ref in zip(fits[1:], alone):
+            assert fit.converged
+            np.testing.assert_array_equal(fit.beta, ref.beta)
