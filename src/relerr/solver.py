@@ -178,9 +178,13 @@ def _one(entries: list):
     return entry
 
 
-#: elements of the design (problems x n x p) fitted in one batch: larger
-#: batches save little interpreter time and cost memory
-_BATCH_ELEMENTS = 40_000
+#: elements of the design (problems x n x p) fitted in one batch.  Larger
+#: batches save little interpreter time and cost memory.  At 16,000 the
+#: (B, n, p) arrays of a batch (125 KiB) stay below glibc's default mmap
+#: threshold, 128 KiB, so malloc reuses its heap for them; at 40,000 a
+#: Table 1 study op took 9,000-14,000 fresh pages from the kernel, 12-30 ms
+#: of system time that varied from op to op.
+_BATCH_ELEMENTS = 16_000
 
 
 def _batch_size(n: int, p: int) -> int:
