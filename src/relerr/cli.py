@@ -82,6 +82,7 @@ def cmd_fit(input_path, response, criterion, output, seed, resamples, pvalue_kin
         est = inference.estimator(criterion)
         fit = est.fit(data)
         cov = est.covariance_of(fit, data, resamples, np.random.default_rng(seed))
+        inference._warn_skipped(criterion, cov)
         pvals = inference.wald_p_values(fit, cov, two_sided=pvalue_kind == "two-sided")
         sees = cov.standard_errors()
         try:

@@ -174,6 +174,7 @@ def bodyfat_pipeline(
         entry = inference.estimator(method)
         fit = entry.fit(train)
         cov = entry.covariance_of(fit, train, resamples, rng)
+        inference._warn_skipped(method, cov)
         pvals = inference.wald_p_values(fit, cov)
         sees = cov.standard_errors()
         for name, est, see, p in zip(names, fit.beta, sees, pvals):

@@ -18,6 +18,7 @@ there.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,8 @@ from .criteria import GreCriterion
 from .data import Dataset, check_beta
 from .errors import ConvergenceError, RelerrError, ResamplingError, SingularDesignError
 from .solver import FitResult, LinearHypothesis, SolverOptions
+
+_log = logging.getLogger("relerr")
 
 
 @dataclass(frozen=True)
@@ -240,6 +243,12 @@ def _resample(statistic, n: int, n_resample: int, rng, what: str):
         raise ResamplingError(
             f"{skipped}/{n_resample} resample fits failed; {what} unreliable")
     return kept, skipped
+
+
+def _warn_skipped(method: str, cov: CovarianceEstimate):
+    """One warning on the ``relerr`` logger if ``cov`` skipped resamples."""
+    if cov.n_skipped:
+        _log.warning("%s: %d random-weighting resample fit(s) skipped", method, cov.n_skipped)
 
 
 def random_weight_covariance(

@@ -6,7 +6,14 @@ sigma(r) of ``criteria``.  Without a kink this is plain Newton on a
 smooth convex function.  With one, |r| is replaced by the convex
 smoothing sqrt(r^2 + eps^2) - eps, and eps follows ``EPS_SCHEDULE``
 from 1e-1 down to 1e-10, each stage starting where the last one ended
-and taking at most ``SolverOptions.max_iterations`` Newton steps.
+and taking at most ``SolverOptions.max_iterations`` Newton steps -- but
+only until the residuals at the kink are known, as in the finite
+smoothing algorithm of Madsen & Nielsen (1993, SIAM J. Optim.).  After a
+stage, the residuals near the kink form a set S; if |S| <= p, an
+active-set finish (``_Batch.finish``) solves the unsmoothed problem
+exactly on the face {beta : r_S(beta) = 0}.  A finish that certifies
+ends the fit; otherwise the next stage goes on from the smoothed point,
+and after the last stage the finish is tried whatever |S| is.
 
 A fit is returned only with an optimality certificate no larger than
 ``SolverOptions.tol_gradient`` -- or, where the gradient's terms are so
@@ -15,9 +22,10 @@ units of their summed magnitudes.  It is reported as
 ``FitResult.gradient_norm``:
 
 * without a kink, the norm of the gradient;
-* with a kink, the KKT residual: the norm of the subgradient of the
-  unsmoothed criterion, with the multipliers of the residuals at the
-  kink (|r| <= 1e-4) chosen in [-1, 1] by least squares.
+* with a kink, the exact KKT residual of the finish: the norm of the
+  subgradient of the unsmoothed criterion, with every residual off S at
+  its sign and the multipliers of S, which are 0 to rounding, chosen in
+  [-1, 1] by least squares.
 
 Anything else raises ``ConvergenceError`` with the best iterate attached.
 Constrained fits run the same solver on the design x @ B, with B an
@@ -53,17 +61,19 @@ from .errors import ConvergenceError, NumericOverflowError, SingularDesignError
 #: smoothing widths of |r| followed, in order, for a criterion with a kink
 EPS_SCHEDULE = tuple(10.0 ** -k for k in range(1, 11))
 ARMIJO_C = 1e-4
-# Residuals this close to 0 are at the kink in the certificate.  Off it,
-# the smoothed slope r / sqrt(r^2 + eps^2) of the last stage is within
-# 5e-13 of sign(r), so the smoothing leaves nothing the certificate sees.
-_AT_KINK = 1e6 * EPS_SCHEDULE[-1]
+# When a smoothing stage of width eps ends, the residuals within
+# _FACE_WIDTH * eps of 0 are taken to be at the kink.  At the smoothed
+# optimum a residual whose multiplier is u sits at eps |u| / sqrt(1 - u^2),
+# so a width of 1 would miss those with u near -1 or 1.
+_FACE_WIDTH = 10.0
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """``tol_gradient`` bounds the certificate (see the module docstring),
-    ``max_iterations`` the Newton steps of each smoothing stage, and
-    ``initial_beta`` replaces the least-squares start."""
+    ``max_iterations`` the Newton steps of each smoothing stage and of
+    each face of the finish, and ``initial_beta`` replaces the
+    least-squares start."""
 
     tol_gradient: float = 1e-10
     max_iterations: int = 100
@@ -201,8 +211,9 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         if len(a) > 1:
             return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
-        # a small smoothing width can leave directions with almost no
-        # curvature; solve within the ones that have it
+        # curvature spread over more decades than double precision holds,
+        # as where one residual's sinh or exp dwarfs the rest; solve within
+        # the directions that have it
         return np.linalg.lstsq(a[0], b[0], rcond=None)[0][None]
 
 
@@ -271,32 +282,117 @@ class _Batch:
         return _norm(self._derivatives(beta, eps, rows)[1])
 
     def parts(self, beta, eps):
-        """(value, gradient, Hessian, certificate) of every row's stage at
-        its beta; inf or NaN where they overflow.  A kinked row's
-        certificate is computed in the last stage only, the one that reads
-        it, and is inf before."""
+        """(value, gradient, Hessian) of every row's stage at its beta; inf
+        or NaN where they overflow."""
         value, grad, (x, xt, r, w, slope, d2) = self._derivatives(beta, eps)
-        hess = xt @ (x * (w * d2)[:, :, None])
-        if not self.kink:
-            return value, grad, hess, _norm(grad)
-        cert = np.full(len(beta), np.inf)
-        last = np.flatnonzero(eps == EPS_SCHEDULE[-1])
-        if last.size:
-            cert[last] = self._kkt_residual(x, last, r[last], w[last], slope[last])
-        return value, grad, hess, cert
+        return value, grad, xt @ (x * (w * d2)[:, :, None])
 
-    def _kkt_residual(self, x, rows, r, w, slope):
-        """KKT residual of the unsmoothed criterion at the given rows of
-        ``x``: the subgradient with sign(r) off the kink and least-squares
-        multipliers on it."""
-        x = x if x.ndim == 2 else x[rows]
-        at_kink = np.abs(r) <= _AT_KINK
-        sub = -_matvec(np.swapaxes(x, -1, -2), w * (slope + self.kink * np.sign(r) * ~at_kink))
-        for b in np.flatnonzero(at_kink.any(axis=1)):
-            k = at_kink[b]
-            a = self.kink * ((x if x.ndim == 2 else x[b])[k] * w[b, k, None]).T
-            sub[b] -= a @ _box_lstsq(a, sub[b])
-        return _norm(sub)
+    def finish(self, row, beta, eps, opts, last):
+        """The unsmoothed fit of problem ``row`` by an active set, from the
+        end of its smoothing stage of width eps at beta: (beta, certificate,
+        Newton steps), or None where it is not tried.
+
+        S, the residuals within ``_FACE_WIDTH`` widths of the kink, is
+        taken to be at the kink if |S| <= p (any S in the last stage).
+        beta is projected onto the face {r_S = 0} by least squares, and
+        Newton steps within the face minimize the criterion there, each
+        residual off S on its side of the kink; one that a step takes to
+        the kink joins S.  The multipliers of S come by least squares;
+        while one leaves [-1, 1], its residual leaves S for the side the
+        multiplier points to, and the face is solved again.  The
+        certificate is the exact KKT residual at the returned beta.
+        """
+        x = self.x if self.x.ndim == 2 else self.x[row]
+        z, w = self.z[row], self.w[row]
+        r = z - x @ beta
+        at = np.abs(r) <= _FACE_WIDTH * eps
+        if at.sum() > x.shape[1] and not last:
+            return None
+        side = np.sign(r)
+        steps = 0
+        for _ in range(opts.max_iterations):
+            xs = x[at]
+            # the least-squares projection onto the face, and a basis of it
+            left, sv, vt = np.linalg.svd(xs, full_matrices=len(xs) < len(beta))
+            rank = np.sum(sv > sv[:1] * max(xs.shape) * np.finfo(float).eps)
+            beta = beta + vt[:rank].T @ (left[:, :rank].T @ (z[at] - xs @ beta) / sv[:rank])
+            beta, taken, hit = self._face_newton(x, z, w, beta, at, side, vt[rank:].T, opts)
+            steps += taken
+            if hit is not None:
+                at[hit] = True
+                continue
+            sub, on = self._subgradient(x, z, w, beta, at, side)
+            a = self.kink * (x[on] * w[on, None]).T
+            u = np.linalg.lstsq(a, sub, rcond=None)[0]
+            if np.all(np.abs(u) <= 1.0):
+                return beta, float(np.linalg.norm(sub - a @ u)), steps
+            worst = np.argmax(np.abs(u))
+            leaving = np.flatnonzero(on)[worst]
+            at[leaving], side[leaving] = False, np.sign(u[worst])
+        return beta, np.inf, steps
+
+    def _subgradient(self, x, z, w, beta, at, side):
+        """The subgradient at beta without the terms of the residuals at
+        the kink, and which those are: the residuals of S that are 0 to
+        rounding.  A residual off S that is 0 to rounding is on its
+        ``side``."""
+        r = z - x @ beta
+        zero = np.abs(r) <= 1e3 * np.finfo(float).eps * (np.abs(z) + np.abs(x) @ np.abs(beta))
+        on = at & zero
+        sign = np.where(zero, side, np.sign(r))
+        sign[on] = 0.0
+        return -(x.T @ (w * (self.sigma(r)[1] + self.kink * sign))), on
+
+    def _face_newton(self, x, z, w, beta, at, side, basis, opts):
+        """Damped Newton on beta + basis @ g for the unsmoothed criterion,
+        each residual off S on its side of the kink: (beta, steps, hit),
+        with ``hit`` the residual the last step took to the kink, or None.
+        Where the face is flat, as for LAD, a step goes down the gradient
+        to the nearest kink."""
+        def face(beta):
+            sub, _ = self._subgradient(x, z, w, beta, at, side)
+            return np.sum(w * self.criterion.rho(z - x @ beta)), basis.T @ sub
+
+        if not basis.shape[1]:
+            return beta, 0, None
+        xb = x @ basis
+        value, grad = face(beta)
+        for steps in range(opts.max_iterations):
+            if np.linalg.norm(grad) <= 1e-2 * opts.tol_gradient:
+                return beta, steps, None
+            r = z - x @ beta
+            move = _solve((xb.T @ (xb * (w * self.sigma(r)[2])[:, None]))[None], -grad[None])[0]
+            flat = not move.any()
+            if flat:
+                move = -grad
+            step = basis @ move
+            rate = xb @ move  # r falls by t * rate
+            ahead = ~at & (side * rate > 0)
+            reach = np.where(ahead, r / np.where(ahead, rate, 1.0), np.inf)
+            hit = int(np.argmin(reach))
+            if reach[hit] <= 0.0:  # at the kink already
+                return beta, steps, hit
+            if flat:  # linear up to the nearest kink
+                if reach[hit] == np.inf:
+                    return beta, steps, None
+                return beta + reach[hit] * step, steps + 1, hit
+            slope = grad @ move
+            # Below the rounding noise of the value, as in _line_search, the
+            # full step must shrink the gradient instead.
+            noisy = abs(slope) <= 1e-10 * (1.0 + abs(value))
+            t = min(1.0, reach[hit])
+            for _ in range(1 if noisy else 40):
+                new_value, new_grad = face(beta + t * step)
+                if (np.linalg.norm(new_grad) < np.linalg.norm(grad) if noisy
+                        else new_value <= value + ARMIJO_C * t * slope):
+                    break
+                t *= 0.5
+            else:
+                return beta, steps, None
+            if t == reach[hit]:
+                return beta + t * step, steps + 1, hit
+            beta, value, grad = beta + t * step, new_value, new_grad
+        return beta, opts.max_iterations, None
 
     def rounding_floor(self, beta, rows) -> np.ndarray:
         """The certificate that rounding alone can leave at beta: 1000
@@ -305,20 +401,6 @@ class _Batch:
         size = _matvec(np.abs(np.swapaxes(x, -1, -2)),
                        w * (np.abs(self.sigma(r)[1]) + self.kink))
         return 1e3 * np.finfo(float).eps * _norm(size)
-
-
-def _box_lstsq(a, b) -> np.ndarray:
-    """u in [-1, 1]^k with a u close to b: least squares, with any entry
-    that leaves the box held at its bound while the rest are solved again."""
-    u = np.zeros(a.shape[1])
-    held = np.zeros(a.shape[1], dtype=bool)
-    while True:
-        u[~held] = np.linalg.lstsq(a[:, ~held], b - a[:, held] @ u[held], rcond=None)[0]
-        over = np.abs(u) > 1.0
-        if not over.any():
-            return u
-        u = np.clip(u, -1.0, 1.0)
-        held |= over
 
 
 def _line_search(batch: _Batch, search, beta, value, grad, step, slope, eps):
@@ -355,10 +437,12 @@ def _minimize(batch: _Batch, beta: np.ndarray, opts: SolverOptions):
     """Damped Newton through the smoothing stages, for every row at once.
 
     Each row keeps its own stage, step count and line search, and is
-    frozen once its last stage ends.  A stage takes at most
-    ``max_iterations`` steps.  A smoothing stage ends once its Newton
-    decrement is below its own width eps; the last one also waits for the
-    certificate.  Any stage ends when the line search fails.
+    frozen once it is done.  A stage takes at most ``max_iterations``
+    steps.  A smoothing stage ends once its Newton decrement is below its
+    own width eps, or when the line search fails; then the row tries
+    ``_Batch.finish``, and is done if that certifies it.  Otherwise it goes
+    on to the next stage from where the stage ended, and after the last
+    one keeps what the finish gave.
 
     Returns (beta, value, iterations, certificate, overflow) per row, where
     ``overflow`` marks the rows whose criterion overflowed at the start of
@@ -377,18 +461,18 @@ def _minimize(batch: _Batch, beta: np.ndarray, opts: SolverOptions):
     while True:
         # every running row is at a new point or in a new stage
         eps = stages[stage]
-        value, grad, hess, cert = batch.parts(beta, eps)
+        value, grad, hess = batch.parts(beta, eps)
+        cert = np.full(len(beta), np.inf) if batch.kink else _norm(grad)
         overflow = ~(value < np.inf)
         if overflow.any():  # such a row ends here; keep its step finite
             hess[overflow], grad[overflow] = np.eye(p), 0.0
-        certified = cert <= opts.tol_gradient
         ended = overflow | (taken >= opts.max_iterations)
         step = _solve(hess, -grad)
         slope = (grad * step).sum(axis=1)
         if batch.kink:
-            ended |= (-slope <= eps) & ((stage != last) | certified)
+            ended |= -slope <= eps
         else:  # one stage, which ends once certified
-            ended |= certified
+            ended |= cert <= opts.tol_gradient
         go = ~ended
         iterations += go
         taken += go
@@ -396,6 +480,16 @@ def _minimize(batch: _Batch, beta: np.ndarray, opts: SolverOptions):
             beta, failed = _line_search(batch, go, beta, value, grad, step, slope, eps)
             ended |= failed
         done = ended & ((stage == last) | overflow)
+        if batch.kink:  # a row whose stage ended tries the finish
+            for b in np.flatnonzero(ended & ~overflow):
+                finished = batch.finish(b, beta[b], eps[b], opts, stage[b] == last)
+                if finished is None:
+                    continue
+                exact, exact_cert, steps = finished
+                iterations[b] += steps
+                floor = batch.rounding_floor(exact[None], [b])[0]
+                if done[b] or exact_cert <= max(opts.tol_gradient, floor):
+                    beta[b], cert[b], done[b] = exact, exact_cert, True
         stage += ended
         taken[ended] = 0
         if done.any():

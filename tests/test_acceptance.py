@@ -11,8 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.integrate import cumulative_simpson
 from scipy.stats import chisquare, ks_2samp
 
 from relerr.criteria import ASYMMETRIC, MAX, lpre_gradient, lpre_hessian, lpre_loss
@@ -211,14 +210,14 @@ def test_criterion_09_sampler_goodness_of_fit():
         law = ErrorLaw(kind)
         draws = Sampler(law).draw(np.random.default_rng(20130501), n_draws)
 
-        def cdf(x):
-            val, _ = quad(lambda t: float(density(law, np.array([t]))[0]),
-                          0.0, x, limit=200, points=[1.0] if x > 1 else None)
-            return val
-
+        # Quantiles of eps from its density alone: r = log eps has the even
+        # density eps * density(eps), so P(r <= s) = 1/2 + sign(s) H(|s|)
+        # with H the cumulative integral of that density over [0, |s|].
+        r = np.linspace(0.0, 8.0, 8001)
+        half = cumulative_simpson(np.exp(r) * density(law, np.exp(r)), x=r, initial=0.0)
+        assert abs(half[-1] - 0.5) < 1e-9
         probs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-        edges = [brentq(lambda x, q=q: cdf(x) - q, 1e-6, 1e3, xtol=1e-10)
-                 for q in probs]
+        edges = np.exp(np.sign(probs - 0.5) * np.interp(np.abs(probs - 0.5), half, r))
         counts, _ = np.histogram(draws, bins=[0.0, *edges, np.inf])
         gof_p = float(chisquare(counts, f_exp=n_draws / n_bins).pvalue)
         # eps and 1/eps must share one distribution; use an independent

@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from relerr.cli import main
 from relerr.data import Dataset
 from relerr.inference import lpre_anova_test
 from relerr.solver import LinearHypothesis, fit_lpre
+
+from conftest import skip_one_resample
 
 
 @pytest.fixture
@@ -55,6 +58,18 @@ class TestFit:
         np.testing.assert_allclose(got, ref.beta, rtol=1e-9)
         assert all(float(r["see"]) > 0 for r in rows)
         assert all(0.0 <= float(r["p_value"]) <= 1.0 for r in rows)
+
+    def test_skipped_resamples_are_logged(self, runner, tmp_path, data_csv, monkeypatch,
+                                          caplog):
+        path, *_ = data_csv
+        skip_one_resample(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="relerr"):
+            result = runner.invoke(main, [
+                "fit", "--input", str(path), "--response", "y", "--criterion", "lare",
+                "--resamples", "20", "--output", str(tmp_path / "fit.csv")])
+        assert result.exit_code == 0, result.output
+        [record] = caplog.records
+        assert record.getMessage().startswith("lare: 1 ")
 
     def test_two_sided_doubles_p(self, runner, tmp_path, data_csv):
         path, *_ = data_csv

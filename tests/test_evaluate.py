@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from relerr.evaluate import (
 )
 from relerr.solver import FitResult, fit_lpre
 
-from conftest import random_dataset
+from conftest import random_dataset, skip_one_resample
 
 
 def fit_of(beta):
@@ -145,6 +146,18 @@ class TestBodyfatPipeline:
         a = bodyfat_pipeline(path, methods=("lare",), resamples=40, seed=5)
         b = bodyfat_pipeline(path, methods=("lare",), resamples=40, seed=5)
         assert a == b
+
+    def test_skipped_resamples_are_logged(self, tmp_path, monkeypatch, caplog):
+        path = _write_fake_bodyfat(tmp_path / "bodyfat.csv")
+        with caplog.at_level(logging.WARNING, logger="relerr"):
+            bodyfat_pipeline(path, methods=("lad",), resamples=20)
+        assert not caplog.records
+        skip_one_resample(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="relerr"):
+            bodyfat_pipeline(path, methods=("lad",), resamples=20)
+        [record] = caplog.records
+        assert record.name == "relerr" and record.levelno == logging.WARNING
+        assert record.getMessage().startswith("lad: 1 ")
 
     def test_strict_checks(self, tmp_path):
         path = _write_fake_bodyfat(tmp_path / "short.csv", n=100)

@@ -251,17 +251,28 @@ def kkt_residual(name, beta, data, weights=None, basis=None):
     return res.fun
 
 
-def lad_minimum(data, weights):
-    """min_beta sum_i w_i |log y_i - x_i'beta| by linear program (HiGHS)."""
+def weighted_problem(seed, index):
+    """random_dataset(n = 200, p = 3) from ``seed``, and the ``index``-th
+    of 20 exponential weight vectors drawn after it."""
+    rng = np.random.default_rng(seed)
+    data, _ = random_dataset(rng, n=200)
+    return data, rng.standard_exponential((20, data.n))[index]
+
+
+def lad_minimum(data, weights, basis=None):
+    """(beta, value) minimizing sum_i w_i |log y_i - x_i'beta| by linear
+    program (HiGHS), over beta = basis @ g if a basis is given."""
     from scipy.optimize import linprog
 
-    n, p = data.x.shape
+    basis = np.eye(data.p) if basis is None else basis
+    x = data.x @ basis
+    n, p = x.shape
     cost = np.concatenate([np.zeros(p), weights, weights])
-    a_eq = np.hstack([data.x, np.eye(n), -np.eye(n)])
+    a_eq = np.hstack([x, np.eye(n), -np.eye(n)])
     res = linprog(cost, A_eq=a_eq, b_eq=np.log(data.y),
                   bounds=[(None, None)] * p + [(0, None)] * (2 * n), method="highs")
     assert res.status == 0, res.message
-    return res.fun
+    return basis @ res.x[:p], res.fun
 
 
 class TestKinkedCertificates:
@@ -289,7 +300,7 @@ class TestKinkedCertificates:
         data, w = correlated_design()
         w = w if weighted else np.ones(data.n)
         fit = fit_lad_log(data, weights=w)
-        best = lad_minimum(data, w)
+        _, best = lad_minimum(data, w)
         assert abs(fit.criterion_value - best) <= 1e-10 * best
 
     def test_asymmetric_fit_with_a_large_residual(self):
@@ -302,6 +313,47 @@ class TestKinkedCertificates:
         fit = fit_gre(ASYMMETRIC, data)
         assert math.isfinite(fit.criterion_value)
         assert kkt_residual("asymmetric", fit.beta, data) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["sum", "max"])
+    def test_fit_with_a_huge_residual(self, name):
+        # sinh or exp of one residual near 60 dwarfs the rest of the
+        # Hessian, so Cholesky fails on it and the step comes by least
+        # squares; the certificate is then at the rounding floor
+        data, _ = correlated_design(p=4)
+        y = data.y.copy()
+        y[0] *= math.exp(60.0)
+        y[1] *= math.exp(-30.0)
+        assert fit_gre(CRITERIA[name], Dataset(data.x, y)).converged
+
+    # Fits that a certificate treating every |r| <= 1e-4 as at the kink
+    # passed away from the minimum, or that stalled; found by scanning the
+    # seeds of weighted_problem.
+    @pytest.mark.parametrize("seed, index", [(150, 0), (11, 3), (88, 19), (182, 12)])
+    def test_weighted_lad_at_linear_program_optimum(self, seed, index):
+        # (150, 0) certified 1.7e-7 above the minimum, beta 1.8e-5 off;
+        # (88, 19) and (182, 12) raised ConvergenceError
+        data, w = weighted_problem(seed, index)
+        fit = fit_lad_log(data, weights=w)
+        beta, best = lad_minimum(data, w)
+        assert fit.converged and fit.gradient_norm <= 1e-10
+        np.testing.assert_allclose(fit.beta, beta, rtol=0, atol=1e-10)
+        assert abs(fit.criterion_value - best) <= 1e-10 * best
+
+    def test_weighted_lare_that_stalled(self):
+        # raised ConvergenceError with KKT residual 0.02
+        data, w = weighted_problem(66, 6)
+        fit = fit_lare(data, weights=w)
+        assert fit.converged and fit.gradient_norm <= 1e-10
+        assert kkt_residual("sum", fit.beta, data, w) <= 1e-8
+
+    def test_resample_at_p13_that_raised(self):
+        # resample 36 of 100 raised ConvergenceError with KKT residual 0.089
+        data, _ = correlated_design()
+        w = np.random.default_rng(2).standard_exponential((100, data.n))[36]
+        fit = fit_lad_log(data, weights=w)
+        beta, _ = lad_minimum(data, w)
+        assert fit.converged and fit.gradient_norm <= 1e-10
+        np.testing.assert_allclose(fit.beta, beta, rtol=0, atol=1e-10)
 
     def test_iteration_cap_raises_with_best_iterate(self):
         data, _ = correlated_design()
@@ -361,12 +413,12 @@ class TestBatchEqualsSingleFits:
             assert fit.gradient_norm <= SolverOptions().tol_gradient
 
     def test_uncertified_row_is_reported_alone(self):
-        # One Newton step per smoothing stage cannot certify a LARE fit of
-        # noisy data; exact responses are certified at their least-squares
-        # start.
+        # One Newton step per smoothing stage and per face cannot certify a
+        # LARE fit of noisy data at p = 13; exact responses are certified at
+        # their least-squares start.
         opts = SolverOptions(max_iterations=1)
-        datasets, x, z = batch_problems(3)
-        z[1:] = (x[1:] @ np.array([1.0, 0.3, -0.2])[:, None])[:, :, 0]
+        datasets, x, z = batch_problems(13)
+        z[1:] = (x[1:] @ np.linspace(1.0, -0.2, 13)[:, None])[:, :, 0]
         w = np.ones(z.shape)
         fits = solver._fit_batch(SUM, x, z, w, opts)
         assert isinstance(fits[0], ConvergenceError)
