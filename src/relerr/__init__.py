@@ -1,21 +1,8 @@
 """Relative-error estimation for multiplicative regression models."""
 
-from .criteria import (
-    ASYMMETRIC,
-    MAX,
-    PRODUCT,
-    SUM,
-    GreCriterion,
-    gre_loss,
-    lad_log_loss,
-    lare_loss,
-    lpre_gradient,
-    lpre_hessian,
-    lpre_loss,
-    ls_log_loss,
-)
-from .data import Dataset, make_dataset
-from .distributions import ErrorLaw, Sampler, population_constants, sample
+from .criteria import ASYMMETRIC, MAX, PRODUCT, SUM, GreCriterion, gre_loss
+from .data import Dataset
+from .distributions import ErrorLaw, Sampler, population_constants
 from .errors import (
     ConvergenceError,
     NumericOverflowError,

@@ -10,7 +10,7 @@ import click
 import numpy as np
 
 from . import evaluate, inference, simulate
-from .data import Dataset
+from .data import Dataset, read_csv
 from .errors import RelerrError
 from .solver import LinearHypothesis
 
@@ -24,27 +24,13 @@ def _fail(message: str, code: int):
 
 def _read_csv_dataset(path: str, response: str) -> tuple[Dataset, list[str]]:
     try:
-        with open(path, newline="") as fh:
-            reader = _csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise RelerrError(f"{path}: missing header row")
-            if response not in reader.fieldnames:
-                raise RelerrError(f"{path}: no column named {response!r}")
-            rows = list(reader)
+        header, columns = read_csv(path, [response])
     except OSError as exc:
         _fail(str(exc), 2)
-    if not rows:
-        raise RelerrError(f"{path}: no data rows")
-    covariate_names = [c for c in reader.fieldnames if c != response]
-    try:
-        y = np.array([float(r[response]) for r in rows])
-        x = np.column_stack(
-            [np.array([float(r[c]) for r in rows]) for c in covariate_names]
-        )
-    except ValueError as exc:
-        raise RelerrError(f"{path}: non-numeric cell ({exc})")
-    ones = np.ones((len(rows), 1))
-    return Dataset(np.hstack([ones, x]), y), ["intercept"] + covariate_names
+    covariates = [j for j, name in enumerate(header) if name != response]
+    x = np.column_stack([np.ones(columns.shape[1]), *columns[covariates]])
+    return (Dataset(x, columns[header.index(response)]),
+            ["intercept"] + [header[j] for j in covariates])
 
 
 def _parse_hypothesis(zero_coefs, hypothesis_file, p):

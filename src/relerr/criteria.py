@@ -19,8 +19,7 @@ reduce to this form:
     ls_log       (log scale)      0      r^2
     lad_log      (log scale)      1      0
 
-The product criterion (LPRE) keeps its exact gradient and Hessian in
-beta; the solver in ``solver`` minimizes any row.
+``gre_loss`` evaluates any row; the solver in ``solver`` minimizes it.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, check_beta
-from .errors import NumericOverflowError
 
 # exp() overflows near 709.8; predictions past this exponent are refused.
 EXP_BOUND = 700.0
@@ -108,58 +106,7 @@ CRITERIA = {c.name: c for c in (
 )}
 
 
-def log_residuals(beta: np.ndarray, data: Dataset) -> np.ndarray:
-    """r = log y - x'beta."""
-    return np.log(data.y) - data.x @ check_beta(beta, data)
-
-
 def gre_loss(criterion: GreCriterion, beta: np.ndarray, data: Dataset) -> float:
     """General criterion sum_i rho(r_i); inf where rho overflows, which is
     the right answer for a wildly wrong fit."""
-    return float(np.sum(criterion.rho(log_residuals(beta, data))))
-
-
-def _finite(values, what):
-    if not np.all(np.isfinite(values)):
-        raise NumericOverflowError(f"{what} is not finite at this beta")
-    return values
-
-
-def lpre_loss(beta: np.ndarray, data: Dataset) -> float:
-    """Product relative-error criterion.
-
-    Equals sum_i { y_i e^{-x_i'b} + y_i^{-1} e^{x_i'b} - 2 }, which is
-    identical to the product of the two relative errors summed over i.
-    Zero iff the fit is exact; NumericOverflowError where it overflows,
-    as for every named loss below.
-    """
-    return _finite(gre_loss(PRODUCT, beta, data), "product criterion")
-
-
-def lpre_gradient(beta: np.ndarray, data: Dataset) -> np.ndarray:
-    """Exact gradient of ``lpre_loss`` with respect to beta."""
-    with np.errstate(over="ignore"):
-        _, d1, _ = _product_sigma(log_residuals(beta, data))
-    return _finite(-(data.x.T @ d1), "product criterion gradient")
-
-
-def lpre_hessian(beta: np.ndarray, data: Dataset) -> np.ndarray:
-    """Exact Hessian of ``lpre_loss``; positive definite for full-rank designs."""
-    with np.errstate(over="ignore"):
-        _, _, d2 = _product_sigma(log_residuals(beta, data))
-    return _finite((data.x * d2[:, None]).T @ data.x, "product criterion Hessian")
-
-
-def lare_loss(beta: np.ndarray, data: Dataset) -> float:
-    """Additive relative-error criterion (sum of the two relative errors)."""
-    return _finite(gre_loss(SUM, beta, data), "sum criterion")
-
-
-def ls_log_loss(beta: np.ndarray, data: Dataset) -> float:
-    """Sum of squared residuals of log y on x'beta."""
-    return _finite(gre_loss(CRITERIA["ls_log"], beta, data), "ls_log criterion")
-
-
-def lad_log_loss(beta: np.ndarray, data: Dataset) -> float:
-    """Sum of absolute residuals of log y on x'beta."""
-    return _finite(gre_loss(CRITERIA["lad_log"], beta, data), "lad_log criterion")
+    return float(np.sum(criterion.rho(np.log(data.y) - data.x @ check_beta(beta, data))))

@@ -1,14 +1,18 @@
 """Data container for multiplicative regression problems.
 
 The model is y_i = exp(x_i' beta) * eps_i with strictly positive
-responses and an explicit intercept column of ones.
+responses and an explicit intercept column of ones.  ``read_csv`` is the
+one reader of numeric CSV input, for the CLI and the body-fat pipeline.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import RelerrError
 
 
 @dataclass(frozen=True)
@@ -56,18 +60,38 @@ class Dataset:
         return Dataset(self.x, self.y * c)
 
 
-def make_dataset(x_no_intercept: np.ndarray, y: np.ndarray) -> Dataset:
-    """Prepend an intercept column of ones and build a Dataset."""
-    x = np.atleast_2d(np.asarray(x_no_intercept, dtype=float))
-    if x.shape[0] == 1 and np.asarray(y).size != 1 and x.shape[1] == np.asarray(y).size:
-        x = x.T
-    ones = np.ones((x.shape[0], 1))
-    return Dataset(np.hstack([ones, x]), y)
-
-
 def check_beta(beta: np.ndarray, data: Dataset) -> np.ndarray:
     """Validate coefficient length against the dataset; return as 1-d float array."""
     b = np.asarray(beta, dtype=float).ravel()
     if b.shape[0] != data.p:
         raise ValueError(f"beta has length {b.shape[0]}, expected {data.p}")
     return b
+
+
+def read_csv(path, required=()) -> tuple[list, np.ndarray]:
+    """The header of a numeric CSV file and its columns (one row each).
+
+    RelerrError, naming the file and the line, for a missing header or
+    required column, no data, a row of the wrong length or a non-numeric
+    cell; blank lines are skipped.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise RelerrError(f"{path}: missing header row")
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise RelerrError(f"{path}, line 1: missing columns {missing}")
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise RelerrError(f"{where}: {len(row)} cells, expected {len(header)}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise RelerrError(f"{where}: non-numeric cell ({exc})") from None
+    if not rows:
+        raise RelerrError(f"{path}: no data rows")
+    return header, np.array(rows).T.copy()

@@ -213,11 +213,6 @@ class Sampler:
         return out
 
 
-def sample(law: ErrorLaw, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-    """One-shot draw helper; builds a Sampler internally."""
-    return Sampler(law).draw(rng, size)
-
-
 def _moment_function(law: ErrorLaw):
     """k -> E(eps^k) for k in {1, -1, 2, -2}: closed forms where they exist."""
     kind = law.kind
@@ -264,8 +259,3 @@ def population_constants(law: ErrorLaw) -> dict:
         out["d_v_residual"] = abs(d_scalar - v_scalar) / d_scalar
     return out
 
-
-def density_grid(kind: str, n_points: int = 400, x_max: float = 5.0) -> np.ndarray:
-    """(x, density) pairs for plotting one of the efficiency densities."""
-    xs = np.linspace(x_max / n_points, x_max, n_points)
-    return np.column_stack([xs, density(ErrorLaw(kind), xs)])

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import csv as _csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import inference
 from .criteria import EXP_BOUND
-from .data import Dataset
+from .data import Dataset, read_csv
 from .errors import NumericOverflowError, RelerrError
 from .solver import FitResult
 
-#: default CSV column names for the body-fat pipeline; height and weight
+#: CSV column names the body-fat pipeline reads; height and weight
 #: are combined into the height^4/weight^2 feature internally.
 BODYFAT_COLUMNS = {
     "response": "bodyfat",
@@ -106,32 +106,20 @@ def evaluate_split(
     return prediction_metrics(test_y, predict_many(fit, test_x))
 
 
-def _read_bodyfat_csv(csv_path, columns):
-    with open(csv_path, newline="") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise RelerrError(f"{csv_path}: missing header row")
-        needed = ([columns["response"], columns["age"], columns["height"],
-                   columns["weight"]] + list(columns["circumferences"]))
-        missing = [c for c in needed if c not in reader.fieldnames]
-        if missing:
-            raise RelerrError(f"{csv_path}: missing columns {missing}")
-        rows = list(reader)
-    y = np.array([float(r[columns["response"]]) for r in rows])
-    height = np.array([float(r[columns["height"]]) for r in rows])
-    weight = np.array([float(r[columns["weight"]]) for r in rows])
-    age = np.array([float(r[columns["age"]]) for r in rows])
-    circ = np.column_stack([
-        np.array([float(r[c]) for r in rows]) for c in columns["circumferences"]
-    ])
-    features = np.column_stack([age, height**4 / weight**2, circ])
-    return y, features
+def _read_bodyfat_csv(csv_path):
+    names, circ = BODYFAT_COLUMNS, BODYFAT_COLUMNS["circumferences"]
+    header, columns = read_csv(
+        csv_path, [names[k] for k in ("response", "age", "height", "weight")] + circ)
+    col = dict(zip(header, columns))
+    height, weight = col[names["height"]], col[names["weight"]]
+    features = np.column_stack([col[names["age"]], height**4 / weight**2,
+                                *(col[c] for c in circ)])
+    return col[names["response"]], features
 
 
 def bodyfat_pipeline(
     csv_path,
     methods: Sequence[str] = inference.PAPER_ESTIMATORS,
-    columns: Optional[dict] = None,
     train_size: int = 200,
     resamples: int = 500,
     seed: int = 20130501,
@@ -145,8 +133,7 @@ def bodyfat_pipeline(
     coefficient row is (method, name, estimate, see, p_value) and each
     metric row is (method, PredictionMetrics).
     """
-    columns = columns or BODYFAT_COLUMNS
-    y, features = _read_bodyfat_csv(csv_path, columns)
+    y, features = _read_bodyfat_csv(csv_path)
 
     keep = y != 0
     if strict and np.sum(~keep) != 1:

@@ -142,11 +142,6 @@ def wald_p_values(
     return 2.0 * p if two_sided else p
 
 
-def _require_same_dimension(hypothesis: LinearHypothesis, data: Dataset):
-    if hypothesis.p != data.p:
-        raise ValueError("hypothesis dimension does not match the design")
-
-
 def _khat(x, z, beta) -> np.ndarray:
     """Plug-in chi-squared scale sum((eps-hat - 1/eps-hat)^2) / (4 sum(eps-hat))
     of each fit of a stack (as in ``_sandwich_covariances``); NaN where
@@ -200,9 +195,8 @@ def lpre_anova_test(
     """
     _require_residual_dof(data)
     solver._require_full_rank(data)
-    _require_same_dimension(hypothesis, data)
     return solver._one(_lpre_anova_tests(data.x[None], np.log(data.y)[None], hypothesis,
-                                         hypothesis.null_basis(), opts))
+                                         solver._null_basis(hypothesis, data), opts))
 
 
 def _criterion(estimator) -> GreCriterion:
@@ -271,15 +265,9 @@ def random_weight_covariance(
     criterion = _criterion(estimator)
     _require_residual_dof(data)
     solver._require_full_rank(data)  # positive weights keep the rank
-    rng = rng if rng is not None else np.random.default_rng()
-    return _random_weight_covariance(criterion, data, n_resample, rng, opts)
-
-
-def _random_weight_covariance(criterion: GreCriterion, data: Dataset, n_resample: int,
-                              rng, opts=None) -> CovarianceEstimate:
-    """``random_weight_covariance`` on a design whose rank is checked."""
     if n_resample < 2:
         raise ValueError("need at least two resamples")
+    rng = rng if rng is not None else np.random.default_rng()
     z = np.log(data.y)
 
     def estimates(w):
@@ -310,9 +298,8 @@ def gre_anova_test(
     """
     _require_residual_dof(data)
     solver._require_full_rank(data)  # positive weights keep the rank
-    _require_same_dimension(hypothesis, data)
+    basis = solver._null_basis(hypothesis, data)
     rng = rng if rng is not None else np.random.default_rng()
-    basis = hypothesis.null_basis()
     z = np.log(data.y)
 
     def criterion_differences(w):
@@ -340,8 +327,8 @@ class Estimator:
     criterion: GreCriterion
     covariance: str
 
-    def fit(self, data: Dataset, opts: Optional[SolverOptions] = None) -> FitResult:
-        return solver.fit_gre(self.criterion, data, opts)
+    def fit(self, data: Dataset) -> FitResult:
+        return solver.fit_gre(self.criterion, data)
 
     def covariance_of(self, fit: FitResult, data: Dataset, resamples: int,
                       rng: np.random.Generator) -> CovarianceEstimate:
@@ -365,7 +352,7 @@ class Estimator:
         out = []
         for data, rng in zip(datasets, rngs):
             try:
-                out.append(_random_weight_covariance(self.criterion, data, resamples, rng))
+                out.append(random_weight_covariance(self.criterion, data, resamples, rng))
             except RelerrError as exc:
                 out.append(exc)
         return out

@@ -180,6 +180,13 @@ def _require_full_rank(data: Dataset):
     _one(_rank_errors(data.x[None]))
 
 
+def _null_basis(hypothesis: LinearHypothesis, data: Dataset) -> np.ndarray:
+    """The null basis of ``hypothesis``, once its p is checked against the design."""
+    if hypothesis.p != data.p:
+        raise ValueError("hypothesis dimension does not match the design")
+    return hypothesis.null_basis()
+
+
 def _one(entries: list):
     """The single entry of a batch of one; raised if it is an error."""
     [entry] = entries
@@ -590,11 +597,7 @@ def _fit(
     """One fit: the batch of one."""
     _require_full_rank(data)
     w = np.ones(data.n) if weights is None else np.asarray(weights, dtype=float)
-    basis = None
-    if hypothesis is not None:
-        if hypothesis.p != data.p:
-            raise ValueError("hypothesis dimension does not match the design")
-        basis = hypothesis.null_basis()
+    basis = None if hypothesis is None else _null_basis(hypothesis, data)
     return _one(_fit_batch(criterion, data.x, np.log(data.y)[None], w[None], opts, basis))
 
 

@@ -34,6 +34,43 @@ def random_dataset(rng, n=30, p=3, beta=None, law=None):
     return Dataset(x, y), np.asarray(beta, dtype=float)
 
 
+# -- closed-form criteria, written from the relative errors of the paper
+# and not from relerr.criteria, as oracles for the criteria table ----------
+
+def lpre_loss(beta, data):
+    """sum_i y_i e^{-x_i'b} + e^{x_i'b} / y_i - 2"""
+    eta = data.x @ beta
+    return float(np.sum(data.y * np.exp(-eta) + np.exp(eta) / data.y - 2.0))
+
+
+def lpre_gradient(beta, data):
+    eta = data.x @ beta
+    return data.x.T @ (np.exp(eta) / data.y - data.y * np.exp(-eta))
+
+
+def lpre_hessian(beta, data):
+    eta = data.x @ beta
+    return (data.x * (data.y * np.exp(-eta) + np.exp(eta) / data.y)[:, None]).T @ data.x
+
+
+def lare_loss(beta, data):
+    """sum_i |y_i - yhat_i| / y_i + |y_i - yhat_i| / yhat_i"""
+    y_hat = np.exp(data.x @ beta)
+    err = np.abs(data.y - y_hat)
+    return float(np.sum(err / data.y + err / y_hat))
+
+
+def ls_log_loss(beta, data):
+    """sum_i r_i^2 of the log residuals r = log y - x'b"""
+    r = np.log(data.y) - data.x @ beta
+    return float(np.sum(r * r))
+
+
+def lad_log_loss(beta, data):
+    """sum_i |r_i| of the log residuals r = log y - x'b"""
+    return float(np.sum(np.abs(np.log(data.y) - data.x @ beta)))
+
+
 def skip_one_resample(monkeypatch):
     """Make the first resample of a random-weighting covariance fail, and
     its retry too, so that the covariance skips it.  Of the outermost calls

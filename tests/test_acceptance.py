@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.stats import chisquare, ks_2samp
 
-from relerr.criteria import ASYMMETRIC, MAX, lpre_gradient, lpre_hessian, lpre_loss
+from relerr.criteria import ASYMMETRIC, MAX, PRODUCT, gre_loss
 from relerr.data import Dataset
 from relerr.distributions import (
     EFFICIENT_KINDS,
@@ -28,7 +28,7 @@ from relerr.simulate import SimulationConfig, run_estimation_study, run_power_st
 from relerr.solver import SolverOptions, fit_gre, fit_lare, fit_lpre
 
 import conftest
-from conftest import random_dataset
+from conftest import lpre_gradient, lpre_hessian, random_dataset
 
 BODYFAT_CSV = Path(__file__).resolve().parent.parent / "data" / "bodyfat.csv"
 
@@ -65,7 +65,8 @@ def test_criterion_01_derivatives_match_finite_differences():
         for j in range(p):
             e = np.zeros(p)
             e[j] = h
-            fd_grad[j] = (lpre_loss(beta + e, data) - lpre_loss(beta - e, data)) / (2 * h)
+            fd_grad[j] = (gre_loss(PRODUCT, beta + e, data)
+                          - gre_loss(PRODUCT, beta - e, data)) / (2 * h)
             fd_hess[:, j] = (lpre_gradient(beta + e, data)
                              - lpre_gradient(beta - e, data)) / (2 * h)
         ok &= bool(np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-8))

@@ -114,7 +114,38 @@ class TestFit:
             "fit", "--input", str(path), "--response", "nope",
             "--output", str(tmp_path / "x.csv")])
         assert r.exit_code == 1
-        assert "no column named" in r.output
+        assert "line 1: missing columns ['nope']" in r.output
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing header row"),
+        ("x1,y\n", "no data rows"),
+        ("x1,y\n0.5,2\n1.5\n", "line 3: 1 cells, expected 2"),
+        ("x1,y\n0.5,2\n1.5,2,7\n", "line 3: 3 cells, expected 2"),
+        ("x1,y\n0.5,abc\n", "line 2: non-numeric cell"),
+    ], ids=["empty", "header_only", "short_row", "long_row", "non_numeric"])
+    def test_malformed_csv_exits_1(self, runner, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        r = runner.invoke(main, [
+            "fit", "--input", str(path), "--response", "y",
+            "--output", str(tmp_path / "x.csv")])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith(f"error: {path}")
+        assert message in r.output and "Traceback" not in r.output
+
+    def test_response_only_csv_fits_intercept(self, runner, tmp_path):
+        # the intercept-only LPRE fit has the closed form 0.5 log(sum y / sum 1/y)
+        y = np.exp(0.3 + 0.4 * np.random.default_rng(3).standard_normal(50))
+        path, out = tmp_path / "y.csv", tmp_path / "fit.csv"
+        write_csv(path, {}, y)
+        r = runner.invoke(main, [
+            "fit", "--input", str(path), "--response", "y", "--output", str(out)])
+        assert r.exit_code == 0, r.output
+        [row] = list(csv.DictReader(open(out)))
+        assert row["coef"] == "intercept"
+        y = np.array([float(f"{v:.10g}") for v in y])  # as written to the CSV
+        expected = 0.5 * np.log(np.sum(y) / np.sum(1.0 / y))
+        assert abs(float(row["estimate"]) - expected) <= 1e-10
 
     def test_missing_file_exits_2(self, runner, tmp_path):
         r = runner.invoke(main, [
@@ -146,6 +177,16 @@ class TestTest:
             "--hypothesis-file", str(hfile)])
         assert r.exit_code == 0, r.output
         assert "p_value" in r.output
+
+    def test_hypothesis_of_wrong_dimension_exits_1(self, runner, tmp_path, data_csv):
+        path, *_ = data_csv
+        hfile = tmp_path / "h.csv"
+        hfile.write_text("0\n1\n")  # p = 2 rows for a design with p = 3
+        r = runner.invoke(main, [
+            "test", "--input", str(path), "--response", "y",
+            "--hypothesis-file", str(hfile)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert "does not match the design" in r.output
 
     def test_requires_exactly_one_hypothesis_source(self, runner, data_csv):
         path, *_ = data_csv

@@ -11,10 +11,8 @@ from relerr.distributions import (
     ErrorLaw,
     Sampler,
     density,
-    density_grid,
     normalizing_constant,
     population_constants,
-    sample,
     solve_uniform_upper,
     unnormalized_density,
 )
@@ -107,7 +105,7 @@ class TestSampling:
     @pytest.mark.parametrize("kind", EFFICIENT_KINDS)
     def test_rejection_sampler_matches_cdf(self, kind):
         law = ErrorLaw(kind)
-        draws = sample(law, np.random.default_rng(7), 20_000)
+        draws = Sampler(law).draw(np.random.default_rng(7), 20_000)
         assert np.all(draws > 0)
 
         def cdf(x):
@@ -121,28 +119,28 @@ class TestSampling:
 
     def test_product_sampler_draws_gig(self):
         # the product-efficient law is exactly GIG(p = 0, b = 2)
-        draws = sample(ErrorLaw("lpre_efficient"), np.random.default_rng(1), 50_000)
+        draws = Sampler(ErrorLaw("lpre_efficient")).draw(np.random.default_rng(1), 50_000)
         assert kstest(draws, geninvgauss(p=0, b=2).cdf).pvalue > 0.01
 
     def test_sampler_reproducible(self):
         law = ErrorLaw("lare_efficient")
-        a = sample(law, np.random.default_rng(3), 100)
-        b = sample(law, np.random.default_rng(3), 100)
+        a = Sampler(law).draw(np.random.default_rng(3), 100)
+        b = Sampler(law).draw(np.random.default_rng(3), 100)
         np.testing.assert_array_equal(a, b)
 
     def test_log_normal_sampler_exact_law(self):
-        draws = sample(ErrorLaw.log_normal(0.2, 0.7), np.random.default_rng(5), 50_000)
+        draws = Sampler(ErrorLaw.log_normal(0.2, 0.7)).draw(np.random.default_rng(5), 50_000)
         stat = kstest(np.log(draws), "norm", args=(0.2, 0.7)).pvalue
         assert stat > 0.01
 
     def test_uniform_sampler_bounds(self):
         law = ErrorLaw.uniform(0.5, 1.6)
-        draws = sample(law, np.random.default_rng(1), 1000)
+        draws = Sampler(law).draw(np.random.default_rng(1), 1000)
         assert draws.min() >= 0.5 and draws.max() <= 1.6
 
     def test_degenerate_sampler(self):
         np.testing.assert_array_equal(
-            sample(ErrorLaw("degenerate"), np.random.default_rng(0), 5), 1.0)
+            Sampler(ErrorLaw("degenerate")).draw(np.random.default_rng(0), 5), 1.0)
 
     def test_sample_moments_match_quadrature(self):
         law = ErrorLaw("max_efficient")
@@ -169,10 +167,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             density(ErrorLaw("degenerate"), np.array([1.0]))
 
-
-def test_density_grid_shape_and_positivity():
-    grid = density_grid("ls_like_efficient", n_points=100, x_max=4.0)
-    assert grid.shape == (100, 2)
-    assert np.all(grid[:, 0] > 0)
-    assert np.all(grid[:, 1] >= 0)
-    assert grid[:, 0].max() == pytest.approx(4.0)

@@ -225,6 +225,18 @@ def test_no_residual_degrees_of_freedom_rejected(rng, inference):
         inference(data)
 
 
+@pytest.mark.parametrize("test", [
+    lambda data, hyp: solver.fit_gre(SUM, data, hypothesis=hyp),
+    lambda data, hyp: lpre_anova_test(data, hyp),
+    lambda data, hyp: gre_anova_test(SUM, data, hyp, n_resample=10,
+                                     rng=np.random.default_rng(0)),
+], ids=["fit_gre", "lpre_anova", "gre_anova"])
+def test_hypothesis_of_wrong_dimension_rejected(rng, test):
+    data, _ = random_dataset(rng, n=30, p=3)
+    with pytest.raises(ValueError, match="does not match the design"):
+        test(data, LinearHypothesis.zero_coefs([1], 4))
+
+
 def test_khat_undefined_for_perfect_fit():
     x = np.ones((5, 1))
     data = Dataset(x, np.full(5, 1.0))

@@ -4,18 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from relerr.criteria import (
-    ASYMMETRIC,
-    CRITERIA,
-    MAX,
-    SUM,
-    gre_loss,
-    lad_log_loss,
-    lpre_gradient,
-    lpre_loss,
-)
+from relerr.criteria import ASYMMETRIC, CRITERIA, MAX, SUM, gre_loss
 from relerr import solver
-from relerr.data import Dataset, make_dataset
+from relerr.data import Dataset
 from relerr.errors import ConvergenceError, SingularDesignError
 from relerr.solver import (
     LinearHypothesis,
@@ -29,7 +20,7 @@ from relerr.solver import (
     fit_ls_log,
 )
 
-from conftest import random_dataset
+from conftest import lad_log_loss, lpre_gradient, lpre_loss, random_dataset
 
 
 class TestFitLpre:
@@ -192,13 +183,6 @@ class TestGreFits:
         scaled = fit_gre(crit, data.scale_y(1000.0))
         assert scaled.beta[0] == pytest.approx(fit.beta[0] + math.log(1000.0), abs=1e-6)
         np.testing.assert_allclose(scaled.beta[1:], fit.beta[1:], atol=1e-6)
-
-
-def test_make_dataset_adds_intercept(rng):
-    z = rng.standard_normal((10, 2))
-    data = make_dataset(z, np.exp(rng.standard_normal(10)))
-    assert data.p == 3
-    np.testing.assert_array_equal(data.x[:, 0], 1.0)
 
 
 # -- optimality certificates computed apart from the solver -----------------
