@@ -22,15 +22,24 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
-def _read_csv_dataset(path: str, response: str) -> tuple[Dataset, list[str]]:
+def _read_csv_dataset(path: str, response: str,
+                      covariates: list[str] | None = None) -> tuple[Dataset, list[str]]:
+    """The dataset of a CSV file and its coefficient names.
+
+    The covariates are the columns named in ``covariates``, in that order,
+    or by default every column but the response, in file order.
+    """
     try:
-        header, columns = read_csv(path, [response])
+        header, columns = read_csv(path, [response, *(covariates or ())])
     except OSError as exc:
         _fail(str(exc), 2)
-    covariates = [j for j, name in enumerate(header) if name != response]
-    x = np.column_stack([np.ones(columns.shape[1]), *columns[covariates]])
+    if covariates is None:
+        keep = [j for j, name in enumerate(header) if name != response]
+    else:
+        keep = [header.index(name) for name in covariates]
+    x = np.column_stack([np.ones(columns.shape[1]), *columns[keep]])
     return (Dataset(x, columns[header.index(response)]),
-            ["intercept"] + [header[j] for j in covariates])
+            ["intercept"] + [header[j] for j in keep])
 
 
 def _parse_hypothesis(zero_coefs, hypothesis_file, p):
@@ -188,8 +197,8 @@ def cmd_predict(train_path, test_path, input_path, split, response, methods,
             train = Dataset(data.x[:split], data.y[:split])
             test_x, test_y = data.x[split:], data.y[split:]
         elif train_path is not None and test_path is not None:
-            train, _ = _read_csv_dataset(train_path, response)
-            test_data, _ = _read_csv_dataset(test_path, response)
+            train, names = _read_csv_dataset(train_path, response)
+            test_data, _ = _read_csv_dataset(test_path, response, names[1:])
             test_x, test_y = test_data.x, test_data.y
         else:
             raise RelerrError("give --input/--split or both --train and --test")

@@ -72,14 +72,17 @@ def read_csv(path, required=()) -> tuple[list, np.ndarray]:
     """The header of a numeric CSV file and its columns (one row each).
 
     RelerrError, naming the file and the line, for a missing header or
-    required column, no data, a row of the wrong length or a non-numeric
-    cell; blank lines are skipped.
+    required column, a column name given twice, no data, a row of the
+    wrong length or a non-numeric cell; blank lines are skipped.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise RelerrError(f"{path}: missing header row")
+        duplicated = sorted({c for c in header if header.count(c) > 1})
+        if duplicated:
+            raise RelerrError(f"{path}, line 1: duplicate columns {duplicated}")
         missing = [c for c in required if c not in header]
         if missing:
             raise RelerrError(f"{path}, line 1: missing columns {missing}")

@@ -22,9 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import bisect
-from scipy.stats import lognorm
 
 from . import criteria
 from .errors import RelerrError
@@ -109,6 +106,10 @@ def _half_line(kind: str, fn) -> float:
         w = float(_weight(kind, r))
         return fn(r) * w if w > 0.0 else 0.0
 
+    # imported on first use: at module level it would more than double the
+    # import time of relerr, and only the efficiency-law constants need it
+    from scipy.integrate import quad
+
     # epsabs=0: otherwise quad's default absolute 1.5e-8, not epsrel, sets
     # the accuracy of these O(1) integrals
     value, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
@@ -142,7 +143,9 @@ def density(law: ErrorLaw, x) -> np.ndarray:
             & (np.log(np.where(pos, x, 1.0)) <= law.hi)
         out[inside] = 1.0 / ((law.hi - law.lo) * x[inside])
     elif law.kind == "log_normal":
-        out[pos] = lognorm.pdf(x[pos], s=law.sigma, scale=math.exp(law.mu))
+        xp = x[pos]
+        z = (np.log(xp) - law.mu) / law.sigma
+        out[pos] = np.exp(-0.5 * z * z) / (xp * law.sigma * math.sqrt(2.0 * math.pi))
     elif law.kind == "uniform":
         inside = (x >= law.lo) & (x <= law.hi)
         out[inside] = 1.0 / (law.hi - law.lo)
@@ -159,6 +162,9 @@ def solve_uniform_upper() -> float:
     """
     def moment_gap(a):
         return math.log(2.0 * a) / (a - 0.5) - (0.5 + a) / 2.0
+
+    # imported on first use: only uniform_balanced needs it
+    from scipy.optimize import bisect
 
     return float(bisect(moment_gap, 1.0, 3.0, xtol=1e-12))
 

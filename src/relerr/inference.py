@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, ndtr
 
 from . import criteria, solver
 from .criteria import GreCriterion
@@ -133,12 +133,11 @@ def wald_p_values(
     """
     se = cov.standard_errors()
     beta = np.asarray(fit.beta, dtype=float)
-    z = np.empty_like(beta)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(beta) / se
     z[(se == 0) & (beta != 0)] = np.inf
     z[(se == 0) & (beta == 0)] = 0.0
-    p = norm.sf(z)
+    p = ndtr(-z)
     return 2.0 * p if two_sided else p
 
 
@@ -172,8 +171,7 @@ def _lpre_anova_tests(x, z, hypothesis: LinearHypothesis, basis: np.ndarray,
                      for i in fitted])
     k_hat = _khat(x[fitted], z[fitted], np.array([free[i].beta for i in fitted]).reshape(
         len(fitted), x.shape[2]))
-    with np.errstate(invalid="ignore"):
-        p_value = chi2.sf(stat / k_hat, hypothesis.q)
+    p_value = chdtrc(hypothesis.q, stat / k_hat)
     tests = [f if isinstance(f, Exception) else c for f, c in zip(free, constrained)]
     for i, s, k, pv in zip(fitted, stat, k_hat, p_value):
         tests[i] = (RelerrError("chi-squared scale undefined: all residual ratios are 1")

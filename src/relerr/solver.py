@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import criteria
 from .criteria import GreCriterion
@@ -128,8 +127,14 @@ class LinearHypothesis:
         return self.h.shape[0]
 
     def null_basis(self) -> np.ndarray:
-        """Orthonormal basis B (p-by-(p-q)) of {b : H'b = 0}."""
-        return scipy.linalg.null_space(self.h.T)
+        """Orthonormal basis B (p-by-(p-q)) of {b : H'b = 0}.
+
+        The right singular vectors of H' beyond its numerical rank, with
+        the rank cut of scipy's ``null_space`` (max(p, q) = p here).
+        """
+        _, sv, vt = np.linalg.svd(self.h.T)
+        rank = np.sum(sv > sv.max(initial=0.0) * self.p * np.finfo(float).eps)
+        return vt[rank:].T
 
     @classmethod
     def zero_coefs(cls, indices, p: int) -> "LinearHypothesis":

@@ -122,7 +122,8 @@ class TestFit:
         ("x1,y\n0.5,2\n1.5\n", "line 3: 1 cells, expected 2"),
         ("x1,y\n0.5,2\n1.5,2,7\n", "line 3: 3 cells, expected 2"),
         ("x1,y\n0.5,abc\n", "line 2: non-numeric cell"),
-    ], ids=["empty", "header_only", "short_row", "long_row", "non_numeric"])
+        ("x1,x1,y\n0.5,1.5,2\n", "line 1: duplicate columns ['x1']"),
+    ], ids=["empty", "header_only", "short_row", "long_row", "non_numeric", "duplicate_column"])
     def test_malformed_csv_exits_1(self, runner, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -293,6 +294,34 @@ class TestPredict:
             "--response", "y", "--criterion", "lpre", "--output", str(out_b)])
         assert ra.exit_code == 0 and rb.exit_code == 0
         assert out_a.read_text() == out_b.read_text()
+
+    def test_test_csv_covariates_matched_by_name(self, runner, tmp_path, data_csv):
+        _, x1, x2, y = data_csv
+        train = tmp_path / "train.csv"
+        write_csv(train, {"x1": x1[:80], "x2": x2[:80]}, y[:80])
+        cols = {"x1": x1[80:], "x2": x2[80:]}
+        outputs = []
+        for order in (["x1", "x2"], ["x2", "x1"]):
+            test = tmp_path / f"test_{order[0]}.csv"
+            write_csv(test, {c: cols[c] for c in order}, y[80:])
+            out = tmp_path / f"pred_{order[0]}.csv"
+            r = runner.invoke(main, [
+                "predict", "--train", str(train), "--test", str(test),
+                "--response", "y", "--criterion", "lpre", "--output", str(out)])
+            assert r.exit_code == 0, r.output
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+
+    def test_test_csv_missing_covariate_exits_1(self, runner, tmp_path, data_csv):
+        _, x1, x2, y = data_csv
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_csv(train, {"x1": x1[:80], "x2": x2[:80]}, y[:80])
+        write_csv(test, {"x1": x1[80:], "x3": x2[80:]}, y[80:])
+        r = runner.invoke(main, [
+            "predict", "--train", str(train), "--test", str(test),
+            "--response", "y", "--output", str(tmp_path / "o.csv")])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith(f"error: {test}, line 1: missing columns ['x2']")
 
     def test_requires_input_spec(self, runner, tmp_path):
         r = runner.invoke(main, [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import kv
-from scipy.stats import geninvgauss, kstest
+from scipy.stats import geninvgauss, kstest, lognorm
 
 from relerr.distributions import (
     EFFICIENT_KINDS,
@@ -73,6 +73,13 @@ class TestMoments:
         # D = V at this density, so the criterion is exactly calibrated
         assert con["d_v_residual"] < 1e-9
         assert con["k"] == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.3, 0.2), (-1.0, 2.5)])
+    def test_log_normal_density_matches_scipy(self, mu, sigma):
+        x = np.concatenate([[-1.0, 0.0], np.exp(mu + sigma * np.linspace(-8.0, 8.0, 2001))])
+        np.testing.assert_allclose(
+            density(ErrorLaw.log_normal(mu, sigma), x),
+            lognorm.pdf(x, s=sigma, scale=math.exp(mu)), rtol=1e-13, atol=0)
 
     def test_log_normal_moments_closed_form(self):
         con = population_constants(ErrorLaw.log_normal(0.0, 1.0))

@@ -68,6 +68,19 @@ class TestWald:
         assert p1[0] == pytest.approx(norm.sf(2.0), rel=1e-12)
         assert p2[0] == pytest.approx(2 * norm.sf(2.0), rel=1e-12)
 
+    def test_matches_scipy_norm_sf_exactly(self):
+        from relerr.inference import CovarianceEstimate
+        rng = np.random.default_rng(11)
+        beta = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-3, 3, 200),
+                               [0.0, 1.0, -2.5, 0.0, 40.0, -1e-300]])
+        se = np.concatenate([rng.uniform(0.01, 3.0, 200), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
+        fit = FitResult(beta, 0.0, 0.0, 1, True, "lpre")
+        est = CovarianceEstimate(cov=np.diag(se**2), method="plugin_sandwich")
+        z = np.where(se == 0, np.where(beta == 0, 0.0, np.inf),
+                     np.abs(beta) / np.where(se == 0, 1.0, se))
+        assert np.array_equal(wald_p_values(fit, est), norm.sf(z))
+        assert np.array_equal(wald_p_values(fit, est, two_sided=True), 2.0 * norm.sf(z))
+
     def test_zero_se_edge_cases(self):
         from relerr.inference import CovarianceEstimate
         fit = FitResult(np.array([1.0, 0.0]), 0.0, 0.0, 1, True, "lpre")
@@ -115,8 +128,16 @@ class TestAnovaTest:
         gap = (fit_constrained_lpre(data, hyp).criterion_value
                - fit_lpre(data).criterion_value)
         assert res.statistic == pytest.approx(gap, abs=1e-10)
-        assert res.p_value == pytest.approx(
-            chi2.sf(res.statistic / res.scale, 1), rel=1e-12)
+        assert res.p_value == chi2.sf(res.statistic / res.scale, 1)
+
+    @pytest.mark.parametrize("seed, beta, zero", [
+        (0, (1.0, 0.5, 0.0), [2]), (1, (1.0, 0.5, 0.0), [1, 2]),
+        (2, (1.0, 0.5, -0.5), [2]), (3, (1.0, 0.0, 0.0), [1, 2]),
+    ])
+    def test_p_value_is_scipy_chi2_sf_exactly(self, seed, beta, zero):
+        data, _ = big_dataset(seed, n=300, beta=beta)
+        res = lpre_anova_test(data, LinearHypothesis.zero_coefs(zero, 3))
+        assert res.p_value == chi2.sf(res.statistic / res.scale, res.df)
 
     def test_scale_near_half_at_efficient_density(self):
         law = ErrorLaw("lpre_efficient")

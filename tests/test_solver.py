@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import minimize
 
 from relerr.criteria import ASYMMETRIC, CRITERIA, MAX, SUM, gre_loss
@@ -121,6 +122,18 @@ class TestConstrainedFit:
         basis = LinearHypothesis(h).null_basis()
         proj = basis.T @ lpre_gradient(fit.beta, data)
         np.testing.assert_allclose(proj, 0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("hyp", [
+        LinearHypothesis.zero_coefs([2], 3), LinearHypothesis.zero_coefs([1, 2], 3),
+        LinearHypothesis.zero_coefs([1], 13), LinearHypothesis.zero_coefs([3, 5, 7], 13),
+        LinearHypothesis(np.random.default_rng(4).standard_normal((13, 4))),
+    ], ids=["p3_q1", "p3_q2", "p13_q1", "p13_q3", "random_13x4"])
+    def test_null_basis_matches_scipy_null_space(self, hyp):
+        basis = hyp.null_basis()
+        assert basis.shape == (hyp.p, hyp.p - hyp.q)
+        np.testing.assert_allclose(basis, scipy.linalg.null_space(hyp.h.T), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(hyp.p - hyp.q), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(hyp.h.T @ basis, 0.0, atol=1e-15)
 
     def test_full_constraint_returns_zero(self, rng):
         data, _ = random_dataset(rng, p=3)
