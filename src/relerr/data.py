@@ -38,10 +38,7 @@ class Dataset:
             raise ValueError("need at least one row and one column")
         if y.shape[0] != n:
             raise ValueError(f"x has {n} rows but y has length {y.shape[0]}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("x and y must be finite (no NaN or infinity)")
-        if not np.all(y > 0):
-            raise ValueError("all responses must be strictly positive")
+        _check_values(x, y)
         if not np.all(x[:, 0] == 1.0):
             raise ValueError("first column of x must be the intercept (all ones)")
 
@@ -58,6 +55,14 @@ class Dataset:
         if c <= 0:
             raise ValueError("scale factor must be positive")
         return Dataset(self.x, self.y * c)
+
+
+def _check_values(x: np.ndarray, y: np.ndarray):
+    """ValueError unless x and y are finite and y > 0 (arrays of any shape)."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("x and y must be finite (no NaN or infinity)")
+    if not np.all(y > 0):
+        raise ValueError("all responses must be strictly positive")
 
 
 def check_beta(beta: np.ndarray, data: Dataset) -> np.ndarray:

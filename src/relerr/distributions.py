@@ -10,9 +10,10 @@ rho(r) = (e^r - 1)^2 + (e^-r - 1)^2, which no shipped criterion
 minimizes, and the asymmetric criterion has none.  Also log-uniform,
 log-normal, uniform, and a degenerate point mass at 1.
 
-As rho is even, E(eps^-k) = E(eps^k) and every constant is one adaptive
-quadrature over r >= 0; efficiency laws are sampled by rejection from
-r ~ N(0, sigma^2).
+As rho is even, E(eps^-k) = E(eps^k), and every constant of an
+efficiency law is arithmetic on four integrals over r >= 0, kept in a
+table that the tests check against adaptive quadrature.  Efficiency laws
+are sampled by rejection from r ~ N(0, sigma^2).
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from . import criteria
-from .errors import RelerrError
 
 #: rho of the log error, by efficiency law
 _RHO = {
@@ -96,39 +97,34 @@ def unnormalized_density(kind: str, x) -> np.ndarray:
         return np.where(x > 0, _weight(kind, np.log(x)) / x, 0.0)
 
 
-def _half_line(kind: str, fn) -> float:
-    """int_0^inf fn(r) exp(-rho(r)) dr.
-
-    fn is evaluated only where exp(-rho) has not underflowed, so it may
-    grow as fast as cosh(2r).
-    """
-    def integrand(r):
-        w = float(_weight(kind, r))
-        return fn(r) * w if w > 0.0 else 0.0
-
-    # imported on first use: at module level it would more than double the
-    # import time of relerr, and only the efficiency-law constants need it
-    from scipy.integrate import quad
-
-    # epsabs=0: otherwise quad's default absolute 1.5e-8, not epsrel, sets
-    # the accuracy of these O(1) integrals
-    value, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
-    if err > 1e-7 * max(abs(value), 1.0):
-        raise RelerrError("quadrature failed to reach requested accuracy")
-    return value
+#: int_0^inf f(r) exp(-rho(r)) dr by efficiency law, for the four f its
+#: constants use: 1 (the normalizing constant), r^2 (the sampler's
+#: proposal sd) and cosh(r), cosh(2r) (E(eps^k) = E(eps^-k) for k = 1, 2).
+#: Each value is scipy's adaptive quadrature ``quad`` with epsabs=0 and
+#: epsrel=1e-10, to the last bit; tests/test_distributions.py recomputes
+#: them.
+_HALF_LINE = {
+    "lpre_efficient": {"1": 0.8415682150707715, "r^2": 0.3489230569396715,
+                       "cosh(r)": 1.0334768470686888, "cosh(2r)": 1.87504506213946},
+    "lare_efficient": {"1": 0.4405819439368607, "r^2": 0.1100449026555208,
+                       "cosh(r)": 0.5, "cosh(2r)": 0.7434782950675621},
+    "max_efficient": {"1": 0.5963473623231941, "r^2": 0.19356065027772387,
+                      "cosh(r)": 0.7018263188384031, "cosh(2r)": 1.1490868405807986},
+    "ls_like_efficient": {"1": 0.5485998919300564, "r^2": 0.08867155110093188,
+                          "cosh(r)": 0.5944805566054562, "cosh(2r)": 0.7522204711291729},
+}
 
 
-@lru_cache(maxsize=None)
 def normalizing_constant(kind: str) -> float:
     """Constant c making the efficiency density integrate to 1 on (0, inf)."""
     if kind not in EFFICIENT_KINDS:
         raise ValueError(f"no normalizing constant for kind {kind!r}")
-    return 0.5 / _half_line(kind, lambda r: 1.0)
+    return 0.5 / _HALF_LINE[kind]["1"]
 
 
-def _expect(kind: str, fn) -> float:
-    """E fn(log eps) for an even fn under an efficiency law."""
-    return 2.0 * normalizing_constant(kind) * _half_line(kind, fn)
+def _expect(kind: str, f: str) -> float:
+    """E f(log eps) for an even f, named as in ``_HALF_LINE``."""
+    return 2.0 * normalizing_constant(kind) * _HALF_LINE[kind][f]
 
 
 def density(law: ErrorLaw, x) -> np.ndarray:
@@ -177,7 +173,7 @@ def _envelope(kind: str):
     largest ratio exp(-rho(r)) / exp(-r^2 / (2 sigma^2)) over the grid
     |r| <= 4 log 10, with a small safety margin.
     """
-    sigma = _ENVELOPE_SD_INFLATION * math.sqrt(_expect(kind, lambda r: r * r))
+    sigma = _ENVELOPE_SD_INFLATION * math.sqrt(_expect(kind, "r^2"))
     r = _ENVELOPE_GRID
     ratio = _weight(kind, r) * np.exp(0.5 * (r / sigma) ** 2)
     return sigma, float(np.max(ratio)) * 1.02
@@ -195,28 +191,61 @@ class Sampler:
         if law.kind in EFFICIENT_KINDS:
             self._env_sigma, self._env_bound = _envelope(law.kind)
 
-    def draw(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        law = self.law
-        if law.kind == "log_uniform":
-            return np.exp(rng.uniform(law.lo, law.hi, size))
-        if law.kind == "log_normal":
-            return np.exp(rng.normal(law.mu, law.sigma, size))
-        if law.kind == "uniform":
-            return rng.uniform(law.lo, law.hi, size)
-        if law.kind == "degenerate":
-            return np.ones(size)
+    def draw(self, rng: np.random.Generator | Sequence[np.random.Generator],
+             size: int = 1) -> np.ndarray:
+        """``size`` draws from the Generator ``rng``.
 
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            m = max(2 * (size - filled), 64)
-            r = rng.normal(0.0, self._env_sigma, m)
-            envelope = self._env_bound * np.exp(-0.5 * (r / self._env_sigma) ** 2)
-            keep = r[rng.uniform(size=m) * envelope <= _weight(law.kind, r)]
-            take = min(keep.shape[0], size - filled)
-            out[filled:filled + take] = np.exp(keep[:take])
-            filled += take
-        return out
+        Given a sequence of B Generators instead, returns a (B, size)
+        array whose row b is what ``draw(rngs[b], size)`` returns: each
+        stream is consumed as if drawn alone, and the rejection test runs
+        once per round on the block of all streams still short of
+        ``size``.
+        """
+        single = isinstance(rng, np.random.Generator)
+        rngs = [rng] if single else list(rng)
+        law = self.law
+        out = np.empty((len(rngs), size))
+        if law.kind in EFFICIENT_KINDS:
+            self._accept(rngs, out)
+        elif law.kind == "degenerate":
+            out[:] = 1.0
+        else:
+            for row, gen in zip(out, rngs):
+                row[:] = gen.normal(law.mu, law.sigma, size) if law.kind == "log_normal" \
+                    else gen.uniform(law.lo, law.hi, size)
+            if law.kind != "uniform":
+                out = np.exp(out)
+        return out[0] if single else out
+
+    def _accept(self, rngs, out):
+        """Fill row b of ``out`` by rejection from stream b.
+
+        Per round, a stream that still needs k draws proposes
+        m = max(2k, 64): normal(m), then uniform(m), from its own stream,
+        and keeps its first accepted proposals in order.
+        """
+        sigma, bound = self._env_sigma, self._env_bound
+        size = out.shape[1]
+        filled = np.zeros(len(rngs), dtype=np.intp)
+        live = np.flatnonzero(filled < size)
+        while live.size:
+            need = size - filled[live]
+            m = np.maximum(2 * need, 64)
+            # a stream proposing fewer than m.max() pads its row with r = 0,
+            # which the mask below never accepts
+            r = np.zeros((live.size, m.max()))
+            u = np.zeros_like(r)
+            for row, b, k in zip(range(live.size), live, m):
+                r[row, :k] = rngs[b].normal(0.0, sigma, k)
+                u[row, :k] = rngs[b].uniform(size=k)
+            envelope = bound * np.exp(-0.5 * (r / sigma) ** 2)
+            accepted = (u * envelope <= _weight(self.law.kind, r)) \
+                & (np.arange(r.shape[1]) < m[:, None])
+            rank = np.cumsum(accepted, axis=1)
+            rows, cols = np.nonzero(accepted & (rank <= need[:, None]))
+            out[live[rows], filled[live[rows]] + rank[rows, cols] - 1] = np.exp(r[rows, cols])
+            filled[live] += np.minimum(rank[:, -1], need)
+            live = live[filled[live] < size]
 
 
 def _moment_function(law: ErrorLaw):
@@ -237,7 +266,7 @@ def _moment_function(law: ErrorLaw):
         mu, s2 = law.mu, law.sigma**2
         return lambda k: math.exp(k * mu + k * k * s2 / 2)
     if kind in EFFICIENT_KINDS:
-        return lambda k: _expect(kind, lambda r: math.cosh(k * r))
+        return lambda k: _expect(kind, {1: "cosh(r)", 2: "cosh(2r)"}[abs(k)])
     raise ValueError(f"population constants undefined for {kind!r}")
 
 
@@ -247,8 +276,8 @@ def population_constants(law: ErrorLaw) -> dict:
     K = E{(eps - 1/eps)^2} / (4 E(eps)) is the chi-squared scale of the
     criterion-difference test statistic (equal to 1/2 at the
     product-efficient density, where the criterion is the exact negative
-    log-likelihood).  Uses closed forms where they exist and quadrature
-    otherwise.
+    log-likelihood).  Uses closed forms where they exist and the table of
+    integrals otherwise.
     """
     moment = _moment_function(law)
     e_eps, e_inv = moment(1), moment(-1)

@@ -56,11 +56,17 @@ class TestResult:
     p_value: float
 
 
-def _require_residual_dof(data: Dataset):
+def _require_residual_dof(data):
+    """RelerrError unless data (a Dataset, or a study's SimulationConfig)
+    has n > p."""
     if data.n <= data.p:
         raise RelerrError(
             f"inference needs more observations than coefficients "
             f"(n = {data.n}, p = {data.p}): no residual degrees of freedom")
+
+
+#: the error of a plug-in covariance whose matrix to invert is singular
+_SINGULAR = {"sandwich": "plug-in D matrix is singular", "ols": "X'X is singular"}
 
 
 def _inverses(m: np.ndarray) -> np.ndarray:
@@ -73,10 +79,10 @@ def _inverses(m: np.ndarray) -> np.ndarray:
         return np.concatenate([_inverses(m[i:i + 1]) for i in range(len(m))])
 
 
-def _sandwich_covariances(x, z, beta) -> list:
+def _sandwich_stack(x, z, beta):
     """Plug-in sandwich covariance of each fit of a stack: designs x
-    (B, n, p), log responses z (B, n), estimates beta (B, p).  Per fit its
-    CovarianceEstimate, or SingularDesignError."""
+    (B, n, p), log responses z (B, n), estimates beta (B, p).  Returns the
+    stacks (cov, d_hat, v_hat); cov is NaN where D is singular."""
     n = x.shape[1]
     _, score, curvature = criteria.PRODUCT.sigma(z - solver._matvec(x, beta))
     xt = np.swapaxes(x, 1, 2)
@@ -84,22 +90,16 @@ def _sandwich_covariances(x, z, beta) -> list:
     v_hat = xt @ (x * (score**2)[:, :, None]) / n
     d_inv = _inverses(d_hat)
     cov = d_inv @ v_hat @ d_inv / n
-    cov = (cov + np.swapaxes(cov, 1, 2)) / 2.0
-    return [SingularDesignError("plug-in D matrix is singular") if np.isnan(c).any()
-            else CovarianceEstimate(cov=c, method="plugin_sandwich", d_hat=d, v_hat=v)
-            for c, d, v in zip(cov, d_hat, v_hat)]
+    return (cov + np.swapaxes(cov, 1, 2)) / 2.0, d_hat, v_hat
 
 
-def _ols_covariances(x, z, beta) -> list:
+def _ols_stack(x, z, beta) -> np.ndarray:
     """Classical OLS covariance s^2 (X'X)^{-1} of each fit of a stack (as
-    in ``_sandwich_covariances``)."""
+    in ``_sandwich_stack``); NaN where X'X is singular."""
     n, p = x.shape[1:]
     r = z - solver._matvec(x, beta)
     s2 = np.sum(r * r, axis=1) / (n - p)
-    xtx_inv = _inverses(np.swapaxes(x, 1, 2) @ x)
-    return [SingularDesignError("X'X is singular") if np.isnan(c).any()
-            else CovarianceEstimate(cov=c, method="plugin_sandwich")
-            for c in s2[:, None, None] * xtx_inv]
+    return s2[:, None, None] * _inverses(np.swapaxes(x, 1, 2) @ x)
 
 
 def sandwich_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
@@ -109,15 +109,20 @@ def sandwich_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
     matrix; both use the sample analogue evaluated at beta-hat.
     """
     _require_residual_dof(data)
-    return solver._one(_sandwich_covariances(data.x[None], np.log(data.y)[None],
-                                             check_beta(fit.beta, data)[None]))
+    [cov], [d_hat], [v_hat] = _sandwich_stack(data.x[None], np.log(data.y)[None],
+                                              check_beta(fit.beta, data)[None])
+    if np.isnan(cov).any():
+        raise SingularDesignError(_SINGULAR["sandwich"])
+    return CovarianceEstimate(cov=cov, method="plugin_sandwich", d_hat=d_hat, v_hat=v_hat)
 
 
 def ols_log_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
     """Classical OLS covariance of the log-scale LS fit: s^2 (X'X)^{-1}."""
     _require_residual_dof(data)
-    return solver._one(_ols_covariances(data.x[None], np.log(data.y)[None],
-                                        check_beta(fit.beta, data)[None]))
+    [cov] = _ols_stack(data.x[None], np.log(data.y)[None], check_beta(fit.beta, data)[None])
+    if np.isnan(cov).any():
+        raise SingularDesignError(_SINGULAR["ols"])
+    return CovarianceEstimate(cov=cov, method="plugin_sandwich")
 
 
 def wald_p_values(
@@ -143,7 +148,7 @@ def wald_p_values(
 
 def _khat(x, z, beta) -> np.ndarray:
     """Plug-in chi-squared scale sum((eps-hat - 1/eps-hat)^2) / (4 sum(eps-hat))
-    of each fit of a stack (as in ``_sandwich_covariances``); NaN where
+    of each fit of a stack (as in ``_sandwich_stack``); NaN where
     every residual ratio is 1.
 
     This is the scale K with M_n -> K * chi2(q) under the null.  At the
@@ -337,23 +342,26 @@ class Estimator:
             return ols_log_covariance(fit, data)
         return random_weight_covariance(self.criterion, data, resamples, rng)
 
-    def _covariances(self, betas, datasets, x, z, resamples: int, rngs) -> list:
-        """``covariance_of`` of fits of one shape: estimates betas (B, p) on
-        ``datasets`` of full rank, whose designs and log responses are
-        stacked in x (B, n, p) and z (B, n).  Per fit its
-        CovarianceEstimate, or the RelerrError it raises."""
-        _require_residual_dof(datasets[0])
-        if self.covariance == "sandwich":
-            return _sandwich_covariances(x, z, betas)
-        if self.covariance == "ols":
-            return _ols_covariances(x, z, betas)
-        out = []
-        for data, rng in zip(datasets, rngs):
-            try:
-                out.append(random_weight_covariance(self.criterion, data, resamples, rng))
-            except RelerrError as exc:
-                out.append(exc)
-        return out
+    def _standard_errors(self, betas, x, y, z, resamples: int, rngs) -> list:
+        """``covariance_of(...).standard_errors()`` of fits of one shape:
+        estimates betas (B, p) on designs x (B, n, p) of full rank with
+        responses y (B, n) and log responses z (B, n).  Per fit its SEs,
+        or the RelerrError it raises; the plug-in SEs of the whole stack
+        are one square root of the stacked diagonals."""
+        if self.covariance == "random_weighting":
+            out = []
+            for xb, yb, rng in zip(x, y, rngs):
+                try:
+                    out.append(random_weight_covariance(
+                        self.criterion, Dataset(xb, yb), resamples, rng).standard_errors())
+                except RelerrError as exc:
+                    out.append(exc)
+            return out
+        cov = _sandwich_stack(x, z, betas)[0] if self.covariance == "sandwich" \
+            else _ols_stack(x, z, betas)
+        se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        return [SingularDesignError(_SINGULAR[self.covariance]) if np.isnan(c).any() else s
+                for c, s in zip(cov, se)]
 
 
 #: every estimator, by the names the CLI, the study configs and the

@@ -6,10 +6,13 @@ and aggregates bias / Monte Carlo SE / mean estimated SE / coverage, or
 rejection rates of the criterion-difference test over a grid of true
 coefficient vectors.
 
-Each chunk is fitted as one batch of the solver: one stacked rank check,
-one batched fit per estimator, batched sandwich and OLS covariances; a
-random-weighting covariance is one batch of resamples per replication.
-With ``n_jobs`` > 1 a process pool maps the chunks.
+Each chunk is drawn and fitted as one batch: the replications' data go
+straight into stacked designs and responses (the rejection sampler runs
+its accept test once per round for the whole chunk), then one stacked
+rank check, one batched fit per estimator, and the sandwich and OLS
+standard errors of the chunk as one stack; a random-weighting covariance
+is one batch of resamples per replication.  With ``n_jobs`` > 1 a
+process pool maps the chunks.
 
 Determinism contract: the per-replication RNG stream is derived from
 (seed, replication index), and each replication draws its data and then,
@@ -31,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import inference, solver
-from .data import Dataset
+from .data import Dataset, _check_values
 from .distributions import ErrorLaw, Sampler
 from .errors import RelerrError
 from .solver import LinearHypothesis
@@ -58,6 +61,8 @@ class SimulationConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.n < len(self.beta_true):
             raise ValueError("sample size must be at least the parameter dimension")
+        if self.compute_see:
+            inference._require_residual_dof(self)
         if self.replications < 1:
             raise ValueError("need at least one replication")
         unknown = set(self.estimators) - set(inference.ESTIMATORS)
@@ -90,23 +95,37 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, rep]))
 
 
+def _draw(config: SimulationConfig, rngs):
+    """One dataset per stream of ``rngs``: designs x (B, n, p) with i.i.d.
+    N(0,1) covariates and responses y (B, n) with multiplicative error.
+
+    Each stream draws its covariates and then its errors, as a dataset
+    drawn alone would; x and y are checked as a Dataset checks them.
+    """
+    n, p = config.n, config.p
+    x = np.empty((len(rngs), n, p))
+    x[:, :, 0] = 1.0
+    for xb, rng in zip(x, rngs):
+        xb[:, 1:] = rng.standard_normal((n, p - 1))
+    eps = Sampler(config.error_law).draw(rngs, n)
+    y = np.exp(x @ np.asarray(config.beta_true)) * eps
+    _check_values(x, y)
+    return x, y
+
+
 def generate_dataset(config: SimulationConfig, rng: np.random.Generator) -> Dataset:
-    """Draw one dataset: i.i.d. N(0,1) covariates, multiplicative error."""
-    beta = np.asarray(config.beta_true)
-    covariates = rng.standard_normal((config.n, config.p - 1))
-    x = np.hstack([np.ones((config.n, 1)), covariates])
-    eps = Sampler(config.error_law).draw(rng, config.n)
-    y = np.exp(x @ beta) * eps
+    """Draw one dataset: i.i.d. N(0,1) covariates, multiplicative error
+    (the chunk of one of the studies' draws)."""
+    [x], [y] = _draw(config, [rng])
     return Dataset(x, y)
 
 
 def _draw_chunk(config: SimulationConfig, reps):
-    """Each replication's RNG stream and dataset, and the datasets stacked
-    into designs x (B, n, p) and log responses z (B, n)."""
+    """Each replication's RNG stream, and its dataset stacked into designs
+    x (B, n, p), responses y (B, n) and log responses z (B, n)."""
     rngs = [_rep_rng(config.seed, rep) for rep in reps]
-    datasets = [generate_dataset(config, rng) for rng in rngs]
-    x = np.stack([data.x for data in datasets])
-    return rngs, datasets, x, np.log(np.stack([data.y for data in datasets]))
+    x, y = _draw(config, rngs)
+    return rngs, x, y, np.log(y)
 
 
 def _estimation_chunk(config: SimulationConfig, reps):
@@ -116,7 +135,7 @@ def _estimation_chunk(config: SimulationConfig, reps):
     Each replication draws its data and then, in estimator order, its
     random weights from its own stream, as a replication run alone would.
     """
-    rngs, datasets, x, z = _draw_chunk(config, reps)
+    rngs, x, y, z = _draw_chunk(config, reps)
     outcomes = solver._rank_errors(x)
     out = [{} for _ in reps]
     for name in config.estimators:
@@ -133,14 +152,14 @@ def _estimation_chunk(config: SimulationConfig, reps):
         if not config.compute_see:
             continue
         live = [i for i in live if outcomes[i] is None]
-        covs = est._covariances(np.array([out[i][name][0] for i in live]),
-                                [datasets[i] for i in live], x[live], z[live],
-                                config.resample_size, [rngs[i] for i in live])
-        for i, cov in zip(live, covs):
-            if isinstance(cov, RelerrError):
-                outcomes[i] = cov
+        sees = est._standard_errors(np.array([out[i][name][0] for i in live]),
+                                    x[live], y[live], z[live],
+                                    config.resample_size, [rngs[i] for i in live])
+        for i, see in zip(live, sees):
+            if isinstance(see, RelerrError):
+                outcomes[i] = see
             else:
-                out[i][name] = (out[i][name][0], cov.standard_errors())
+                out[i][name] = (out[i][name][0], see)
     return [result if outcome is None else outcome for outcome, result in zip(outcomes, out)]
 
 
@@ -221,7 +240,7 @@ class _PowerTask:
     basis: np.ndarray
 
     def __call__(self, config, reps):
-        _, _, x, z = _draw_chunk(config, reps)
+        _, x, _, z = _draw_chunk(config, reps)
         outcomes = solver._rank_errors(x)
         live = [i for i, outcome in enumerate(outcomes) if outcome is None]
         tests = inference._lpre_anova_tests(x[live], z[live], self.hypothesis, self.basis)
@@ -242,6 +261,7 @@ def run_power_study(
     ``hypothesis_coefs`` are the coefficient indices tested jointly zero;
     grid points where those entries are zero measure size, others power.
     """
+    inference._require_residual_dof(config)
     rows = []
     hypothesis = LinearHypothesis.zero_coefs(hypothesis_coefs, config.p)
     task = _PowerTask(hypothesis, hypothesis.null_basis())
@@ -266,12 +286,16 @@ def write_metrics_csv(rows: Sequence[MetricsRow], path) -> None:
 
 
 def write_power_csv(rows: Sequence[PowerRow], path) -> None:
+    """One line per row: beta0..beta{k-1} with k = max(3, longest beta)
+    (shorter betas padded with empty cells), alpha and the rejection
+    rate; the header is ``POWER_HEADER`` for k = 3."""
+    k = max([3, *(len(r.beta) for r in rows)])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(POWER_HEADER.split(","))
+        writer.writerow([f"beta{j}" for j in range(k)] + ["alpha", "reject_rate"])
         for r in rows:
-            beta = list(r.beta) + [""] * (3 - len(r.beta))
-            writer.writerow([*beta[:3], f"{r.alpha:g}", f"{r.reject_rate:.6g}"])
+            beta = list(r.beta) + [""] * (k - len(r.beta))
+            writer.writerow([*beta, f"{r.alpha:g}", f"{r.reject_rate:.6g}"])
 
 
 def parse_error_law(text: str) -> ErrorLaw:

@@ -258,6 +258,21 @@ class TestSimulate:
             "simulate", "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize("mode", [
+        "estimation",
+        "power\nzero_coefs = 2\nbeta_grid = 1,0.5,0\ncompute_see = false",
+    ])
+    def test_no_residual_dof_exits_1(self, runner, tmp_path, mode):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"mode = {mode}\nbeta = 1, 0.5, 0\n"
+                       "error_law = log_normal(0, 0.5)\nn = 3\nreplications = 20\n")
+        r = runner.invoke(main, [
+            "simulate", "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
+        assert r.exit_code == 1
+        assert r.output.startswith("error: inference needs more observations than "
+                                   "coefficients (n = 3, p = 3)")
+        assert "Traceback" not in r.output
+
     def test_missing_config_exits_2(self, runner, tmp_path):
         r = runner.invoke(main, [
             "simulate", "--config", str(tmp_path / "absent.cfg"),

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import kv
 from scipy.stats import geninvgauss, kstest, lognorm
 
+from relerr import distributions
 from relerr.distributions import (
     EFFICIENT_KINDS,
     ErrorLaw,
@@ -16,6 +17,65 @@ from relerr.distributions import (
     solve_uniform_upper,
     unnormalized_density,
 )
+
+#: every law kind, with parameters where it needs them
+ALL_LAWS = [ErrorLaw(kind) for kind in EFFICIENT_KINDS] + [
+    ErrorLaw.log_normal(0.1, 0.7), ErrorLaw.log_uniform(-1.0, 1.0),
+    ErrorLaw.uniform(0.5, 1.6), ErrorLaw("degenerate"),
+]
+
+
+def half_line(kind, fn):
+    """int_0^inf fn(r) exp(-rho(r)) dr by adaptive quadrature, with fn
+    evaluated only where exp(-rho) has not underflowed (so it may grow as
+    fast as cosh(2r))."""
+    def integrand(r):
+        w = float(distributions._weight(kind, r))
+        return fn(r) * w if w > 0.0 else 0.0
+
+    value, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
+    assert err <= 1e-7 * max(abs(value), 1.0)
+    return value
+
+
+def reference_draw(sampler, rng, size):
+    """The rejection sampler for one stream, written as a loop: per round,
+    m = max(2 * missing, 64) proposals normal(m), then uniform(m)."""
+    sigma, bound = sampler._env_sigma, sampler._env_bound
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        m = max(2 * (size - filled), 64)
+        r = rng.normal(0.0, sigma, m)
+        envelope = bound * np.exp(-0.5 * (r / sigma) ** 2)
+        keep = r[rng.uniform(size=m) * envelope <= distributions._weight(sampler.law.kind, r)]
+        take = min(keep.shape[0], size - filled)
+        out[filled:filled + take] = np.exp(keep[:take])
+        filled += take
+    return out
+
+
+class TestHalfLineTable:
+    """The table of integrals the efficiency-law constants rest on."""
+
+    INTEGRANDS = {
+        "1": lambda r: 1.0,
+        "r^2": lambda r: r * r,
+        "cosh(r)": math.cosh,
+        "cosh(2r)": lambda r: math.cosh(2.0 * r),
+    }
+
+    def test_every_kind_has_every_integral(self):
+        table = distributions._HALF_LINE
+        assert sorted(table) == sorted(EFFICIENT_KINDS)
+        for kind in EFFICIENT_KINDS:
+            assert sorted(table[kind]) == sorted(self.INTEGRANDS), kind
+
+    @pytest.mark.parametrize("kind", EFFICIENT_KINDS)
+    @pytest.mark.parametrize("name", ["1", "r^2", "cosh(r)", "cosh(2r)"])
+    def test_entry_matches_quadrature(self, kind, name):
+        assert distributions._HALF_LINE[kind][name] == pytest.approx(
+            half_line(kind, self.INTEGRANDS[name]), rel=1e-12, abs=0)
 
 
 class TestNormalizingConstants:
@@ -128,6 +188,25 @@ class TestSampling:
         # the product-efficient law is exactly GIG(p = 0, b = 2)
         draws = Sampler(ErrorLaw("lpre_efficient")).draw(np.random.default_rng(1), 50_000)
         assert kstest(draws, geninvgauss(p=0, b=2).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("law, bound_factor", [(law, 1.0) for law in ALL_LAWS] + [
+        (ErrorLaw(kind), 25.0) for kind in EFFICIENT_KINDS])
+    def test_multi_stream_draw_equals_per_stream_draws(self, law, bound_factor):
+        # an inflated bound accepts under 3% of proposals: every stream
+        # takes several rounds, proposing different m from the second on
+        sampler = Sampler(law)
+        if bound_factor != 1.0:
+            sampler._env_bound *= bound_factor
+        streams = [np.random.default_rng(s) for s in range(9)]
+        block = sampler.draw(streams, 150)
+        assert block.shape == (9, 150)
+        for s, (stream, row) in enumerate(zip(streams, block)):
+            alone = np.random.default_rng(s)
+            assert np.array_equal(row, sampler.draw(alone, 150))
+            # and each stream is left where its own draw leaves it
+            assert stream.random() == alone.random()
+            if law.kind in EFFICIENT_KINDS:
+                assert np.array_equal(row, reference_draw(sampler, np.random.default_rng(s), 150))
 
     def test_sampler_reproducible(self):
         law = ErrorLaw("lare_efficient")

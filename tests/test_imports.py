@@ -33,6 +33,16 @@ def test_import_loads_no_heavy_scipy_subpackage():
     assert heavy(modules) == []
 
 
-def test_efficiency_law_sampler_loads_quadrature():
-    modules = loaded_modules('import relerr\nrelerr.Sampler(relerr.ErrorLaw("lpre_efficient"))')
-    assert "scipy.integrate" in modules
+def test_efficiency_laws_load_no_heavy_scipy_subpackage():
+    # the constants come from a table, not from quadrature
+    modules = loaded_modules(
+        "import numpy as np\n"
+        "import relerr\n"
+        "from relerr.distributions import EFFICIENT_KINDS, density, population_constants\n"
+        "for kind in EFFICIENT_KINDS:\n"
+        "    law = relerr.ErrorLaw(kind)\n"
+        "    relerr.Sampler(law).draw(np.random.default_rng(0), 10)\n"
+        "    population_constants(law)\n"
+        "    density(law, np.array([0.5, 1.0, 2.0]))")
+    assert "relerr.distributions" in modules
+    assert heavy(modules) == []

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from relerr import simulate, solver
-from relerr.data import Dataset
-from relerr.distributions import ErrorLaw, population_constants
-from relerr.errors import ConvergenceError
+from relerr.distributions import EFFICIENT_KINDS, ErrorLaw, Sampler, population_constants
+from relerr.errors import ConvergenceError, RelerrError
 from relerr.simulate import (
     METRICS_HEADER,
     POWER_HEADER,
@@ -49,12 +48,54 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(n=2)
 
+    def test_rejects_no_residual_dof_with_see(self):
+        with pytest.raises(RelerrError, match=r"n = 3, p = 3"):
+            small_config(n=3)
+        assert small_config(n=3, compute_see=False).n == 3
+
     def test_generate_dataset_shape_and_intercept(self):
         cfg = small_config()
         data = generate_dataset(cfg, np.random.default_rng(0))
         assert data.n == 100 and data.p == 3
         np.testing.assert_array_equal(data.x[:, 0], 1.0)
         assert np.all(data.y > 0)
+
+
+class TestChunkDrawing:
+    """A chunk's stacked data equal per-replication ``generate_dataset``."""
+
+    @pytest.mark.parametrize("law", [
+        ErrorLaw(kind) for kind in EFFICIENT_KINDS] + [
+        ErrorLaw.log_normal(0.1, 0.7), ErrorLaw.log_uniform(-1.0, 1.0),
+        ErrorLaw.uniform(0.5, 1.6), ErrorLaw("degenerate")], ids=lambda law: law.kind)
+    @pytest.mark.parametrize("size", [1, 7, 26])
+    def test_chunks_equal_single_draws(self, law, size):
+        cfg = small_config(error_law=law, n=40, replications=30, seed=5)
+        # chunks of `size` replications cover 0..29: all but the first
+        # start past a boundary, and at sizes 7 and 26 the last is short
+        for start in range(0, cfg.replications, size):
+            reps = range(start, min(start + size, cfg.replications))
+            rngs, x, y, z = simulate._draw_chunk(cfg, reps)
+            assert x.shape == (len(reps), 40, 3) and y.shape == z.shape == (len(reps), 40)
+            for b, rep in enumerate(reps):
+                data = generate_dataset(cfg, simulate._rep_rng(cfg.seed, rep))
+                assert np.array_equal(x[b], data.x)
+                assert np.array_equal(y[b], data.y)
+                assert np.array_equal(z[b], np.log(data.y))
+                # one replication drawn alone: covariates, then errors
+                rng = simulate._rep_rng(cfg.seed, rep)
+                x_ref = np.hstack([np.ones((40, 1)), rng.standard_normal((40, 2))])
+                eps = Sampler(law).draw(rng, 40)
+                assert np.array_equal(x[b], x_ref)
+                assert np.array_equal(y[b], np.exp(x_ref @ np.asarray(cfg.beta_true)) * eps)
+                # and the chunk leaves each stream where that draw leaves it
+                assert rngs[b].random() == rng.random()
+
+    def test_responses_checked_as_a_dataset_checks_them(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            simulate._draw_chunk(small_config(beta_true=(800.0, 0.0, 0.0)), range(3))
+        with pytest.raises(ValueError, match="strictly positive"):
+            simulate._draw_chunk(small_config(beta_true=(-800.0, 0.0, 0.0)), range(3))
 
 
 class TestEstimationStudy:
@@ -122,19 +163,15 @@ class TestEstimationStudy:
 
     def test_singular_replication_fails_alone(self, monkeypatch, caplog):
         # the chunk's one stacked rank check flags replication 4 only
-        generate = simulate.generate_dataset
-        drawn = []
+        draw_chunk = simulate._draw_chunk
 
-        def fifth_is_singular(config, rng):
-            data = generate(config, rng)
-            drawn.append(None)
-            if len(drawn) == 5:
-                x = data.x.copy()
-                x[:, 2] = x[:, 1]
-                data = Dataset(x, data.y)
-            return data
+        def fifth_is_singular(config, reps):
+            rngs, x, y, z = draw_chunk(config, reps)
+            if 4 in reps:
+                x[reps.index(4), :, 2] = x[reps.index(4), :, 1]
+            return rngs, x, y, z
 
-        monkeypatch.setattr(simulate, "generate_dataset", fifth_is_singular)
+        monkeypatch.setattr(simulate, "_draw_chunk", fifth_is_singular)
         cfg = small_config(replications=200, n=30, compute_see=False)
         with caplog.at_level(logging.WARNING, logger="relerr"):
             rows = run_estimation_study(cfg)
@@ -156,6 +193,11 @@ class TestPowerStudy:
         assert size < 0.15  # near nominal under the null
         assert power > 0.9  # strong signal rejected almost surely
         assert rows[0].alpha == 0.05
+
+    def test_rejects_no_residual_dof(self):
+        cfg = small_config(n=3, compute_see=False)
+        with pytest.raises(RelerrError, match=r"n = 3, p = 3"):
+            run_power_study(cfg, [2], [(1.0, 0.5, 0.0)], (0.05,))
 
     def test_deterministic_across_workers(self):
         cfg = small_config(replications=16, compute_see=False, seed=3)
@@ -211,6 +253,32 @@ class TestCsvWriters:
             reader = list(csv.reader(fh))
         assert reader[0] == POWER_HEADER.split(",")
         assert float(reader[1][4]) == pytest.approx(0.048)
+
+
+    def test_power_csv_writes_every_coefficient(self, tmp_path):
+        # two grid points that differ only in beta_3 write different rows
+        rows = [PowerRow((1.0, 0.5, 0.0, 0.0), 0.05, 0.05),
+                PowerRow((1.0, 0.5, 0.0, 0.4), 0.05, 0.93),
+                PowerRow((1.0, 0.5), 0.01, 0.5)]
+        path = tmp_path / "power.csv"
+        write_power_csv(rows, path)
+        with open(path) as fh:
+            reader = list(csv.reader(fh))
+        assert reader == [
+            ["beta0", "beta1", "beta2", "beta3", "alpha", "reject_rate"],
+            ["1.0", "0.5", "0.0", "0.0", "0.05", "0.05"],
+            ["1.0", "0.5", "0.0", "0.4", "0.05", "0.93"],
+            ["1.0", "0.5", "", "", "0.01", "0.5"],
+        ]
+
+    def test_power_csv_bytes_at_three_coefficients(self, tmp_path):
+        rows = [PowerRow((1.0, 0.5, 0.0), 0.05, 0.048), PowerRow((1.0, 0.5), 0.01, 0.25)]
+        path = tmp_path / "power.csv"
+        write_power_csv(rows, path)
+        assert path.read_bytes() == (
+            b"beta0,beta1,beta2,alpha,reject_rate\r\n"
+            b"1.0,0.5,0.0,0.05,0.048\r\n"
+            b"1.0,0.5,,0.01,0.25\r\n")
 
 
 class TestParsing:
