@@ -153,16 +153,17 @@ def density(law: ErrorLaw, x) -> np.ndarray:
 def solve_uniform_upper() -> float:
     """Upper endpoint a* of uniform(0.5, a) making E(eps) = E(1/eps).
 
-    Solves (0.5 + a)/2 = log(2a)/(a - 0.5) by bisection on (1, 3); the
-    root lies in (1.5, 1.7).
+    Solves (0.5 + a)/2 = log(2a)/(a - 0.5) by bisection on (1, 3), where
+    the gap below falls from positive to negative, until the midpoint is
+    an endpoint; the root lies in (1.5, 1.7).
     """
     def moment_gap(a):
         return math.log(2.0 * a) / (a - 0.5) - (0.5 + a) / 2.0
 
-    # imported on first use: only uniform_balanced needs it
-    from scipy.optimize import bisect
-
-    return float(bisect(moment_gap, 1.0, 3.0, xtol=1e-12))
+    lo, hi = 1.0, 3.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if moment_gap(mid) > 0.0 else (lo, mid)
+    return lo
 
 
 @lru_cache(maxsize=None)

@@ -19,11 +19,11 @@ there.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 from . import criteria, solver
 from .criteria import GreCriterion
@@ -125,6 +125,43 @@ def ols_log_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
     return CovarianceEstimate(cov=cov, method="plugin_sandwich")
 
 
+_SQRT_HALF = math.sqrt(0.5)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+
+def _normal_sf(z: float) -> float:
+    """1 - Phi(z), as erfc(z / sqrt(2)) / 2."""
+    return 0.5 * math.erfc(z * _SQRT_HALF)
+
+
+def _chi2_sf(q: int, x: float) -> float:
+    """P(chi2(q) > x) for an integer q >= 1, in closed form (Abramowitz &
+    Stegun 26.4.4-5): with h = x/2, e^-h sum_{j < q/2} h^j / j! for even
+    q, and erfc(sqrt h) + e^-h sum_{j = 1}^{(q-1)/2} h^(j-1/2) / Gamma(j + 1/2)
+    for odd q.  1 for x <= 0, 0 for x = inf, NaN for NaN.
+
+    The sum is taken first and e^-h applied as e^(-h/2) twice, so for
+    q <= 200 no step overflows and a tail above 1e-300 keeps full
+    precision where e^-h alone underflows (1490 < x < 2980).  Past that,
+    x = inf included, the series part is 0.
+    """
+    if not x > 0.0:
+        return math.nan if math.isnan(x) else 1.0
+    h = 0.5 * x
+    if q % 2:
+        root = math.sqrt(h)
+        head, term, k = math.erfc(root), _TWO_OVER_SQRT_PI * root, 0.5
+    else:
+        head, term, k = 0.0, 1.0, 0.0
+    total = 0.0
+    for _ in range(q // 2):  # term is h^k / Gamma(k + 1), k = 0 or 1/2 first
+        total += term
+        k += 1.0
+        term *= h / k
+    half = math.exp(-0.5 * h)
+    return head + total * half * half if half > 0.0 else head
+
+
 def wald_p_values(
     fit: FitResult,
     cov: CovarianceEstimate,
@@ -142,7 +179,7 @@ def wald_p_values(
         z = np.abs(beta) / se
     z[(se == 0) & (beta != 0)] = np.inf
     z[(se == 0) & (beta == 0)] = 0.0
-    p = ndtr(-z)
+    p = np.array([_normal_sf(v) for v in z])
     return 2.0 * p if two_sided else p
 
 
@@ -176,7 +213,7 @@ def _lpre_anova_tests(x, z, hypothesis: LinearHypothesis, basis: np.ndarray,
                      for i in fitted])
     k_hat = _khat(x[fitted], z[fitted], np.array([free[i].beta for i in fitted]).reshape(
         len(fitted), x.shape[2]))
-    p_value = chdtrc(hypothesis.q, stat / k_hat)
+    p_value = [_chi2_sf(hypothesis.q, float(r)) for r in stat / k_hat]
     tests = [f if isinstance(f, Exception) else c for f, c in zip(free, constrained)]
     for i, s, k, pv in zip(fitted, stat, k_hat, p_value):
         tests[i] = (RelerrError("chi-squared scale undefined: all residual ratios are 1")
@@ -292,30 +329,40 @@ def gre_anova_test(
 ) -> TestResult:
     """Criterion-difference test for a general relative-error loss.
 
-    The null scale of the statistic is unknown in general, so the null
-    distribution is calibrated by random weighting: each resample's
-    constrained-vs-unconstrained difference, centered at the observed
-    statistic and floored at 0, serves as a draw from the approximate
-    null.  The p-value is the empirical upper-tail probability; the
-    reported scale is the mean calibrated statistic divided by q.
+    The null scale of the statistic is unknown in general, so its null
+    distribution is calibrated by random weighting (Jin, Ying & Wei 2001,
+    Biometrika).  Each resample refits, with its weights, the log
+    responses recentred at the unconstrained estimate, z - x beta-hat,
+    under the same hypothesis.  The recentred data have estimate 0,
+    which satisfies H'beta = 0, so the resample's constrained-vs-
+    unconstrained difference T* is a draw from the approximate null
+    whether or not H0 holds.  The p-value is (1 + #{T* >= T}) / (1 + B)
+    for the observed statistic T and B resamples; the reported scale is
+    mean(T*) / q.
     """
     _require_residual_dof(data)
     solver._require_full_rank(data)  # positive weights keep the rank
     basis = solver._null_basis(hypothesis, data)
     rng = rng if rng is not None else np.random.default_rng()
-    z = np.log(data.y)
 
-    def criterion_differences(w):
+    def criterion_differences(z, w):
+        """The unconstrained fits of log responses z under weights w
+        (B, n), and per row the criterion difference or the error of
+        either fit."""
         z_rows = np.broadcast_to(z, w.shape)
         free = solver._fit_batch(criterion, data.x, z_rows, w, opts)
         constrained = solver._fit_batch(criterion, data.x, z_rows, w, opts, basis)
-        return [f if isinstance(f, Exception) else c if isinstance(c, Exception)
-                else max(c.criterion_value - f.criterion_value, 0.0)
-                for f, c in zip(free, constrained)]
+        return free, [f if isinstance(f, Exception) else c if isinstance(c, Exception)
+                      else max(c.criterion_value - f.criterion_value, 0.0)
+                      for f, c in zip(free, constrained)]
 
-    observed = solver._one(criterion_differences(np.ones((1, data.n))))
-    stats, _ = _resample(criterion_differences, data.n, n_resample, rng, "calibration")
-    null_draws = np.maximum(np.asarray(stats) - observed, 0.0)
+    z = np.log(data.y)
+    [free], difference = criterion_differences(z, np.ones((1, data.n)))
+    observed = solver._one(difference)
+    centred = z - data.x @ free.beta
+    stats, _ = _resample(lambda w: criterion_differences(centred, w)[1], data.n,
+                         n_resample, rng, "calibration")
+    null_draws = np.asarray(stats)
     p_value = float((1 + np.sum(null_draws >= observed)) / (1 + null_draws.size))
     scale = float(np.mean(null_draws)) / hypothesis.q
     return TestResult(statistic=observed, df=hypothesis.q,

@@ -200,12 +200,22 @@ def _one(entries: list):
     return entry
 
 
+# glibc serves a block above its mmap threshold (128 KiB at start) with
+# fresh pages from the kernel and unmaps them on free.  Freeing one such
+# block raises the threshold to the block's size, and the heap's trim
+# threshold to twice that, so blocks up to 2 MiB allocated after this line
+# are reused from the heap.  Without it, a Table 1 study op took 7,000-
+# 14,500 minor page faults and a power study op about 20,000, 15-40 ms of
+# system time per op.  Elsewhere than glibc this only allocates and frees
+# 2 MiB.
+np.empty(2 << 20, dtype=np.uint8)
+
 #: elements of the design (problems x n x p) fitted in one batch.  Larger
 #: batches save little interpreter time and cost memory.  At 16,000 the
-#: (B, n, p) arrays of a batch (125 KiB) stay below glibc's default mmap
-#: threshold, 128 KiB, so malloc reuses its heap for them; at 40,000 a
-#: Table 1 study op took 9,000-14,000 fresh pages from the kernel, 12-30 ms
-#: of system time that varied from op to op.
+#: (B, n, p) arrays of a batch take 125 KiB, below even glibc's default
+#: mmap threshold; under that default, batches of 40,000 cost a Table 1
+#: study op 9,000-14,000 fresh pages from the kernel, 12-30 ms of system
+#: time that varied from op to op.
 _BATCH_ELEMENTS = 16_000
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import bisect
 from scipy.special import kv
 from scipy.stats import geninvgauss, kstest, lognorm
 
@@ -161,6 +162,13 @@ class TestMoments:
         assert 1.5 < a < 1.7
         # the defining balance: (0.5 + a)/2 == log(2a)/(a - 0.5)
         assert (0.5 + a) / 2 == pytest.approx(math.log(2 * a) / (a - 0.5), abs=1e-10)
+
+    def test_solve_uniform_upper_matches_scipy_bisection(self):
+        def moment_gap(a):
+            return math.log(2.0 * a) / (a - 0.5) - (0.5 + a) / 2.0
+
+        assert solve_uniform_upper() == pytest.approx(
+            bisect(moment_gap, 1.0, 3.0, xtol=1e-12), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", EFFICIENT_KINDS)
     def test_efficient_families_have_balanced_moments(self, kind):

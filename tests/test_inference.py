@@ -1,6 +1,9 @@
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import chdtrc, ndtr
 from scipy.stats import chi2, norm
 
 from relerr.criteria import PRODUCT, SUM
@@ -9,6 +12,8 @@ from relerr.distributions import ErrorLaw, Sampler, population_constants
 from relerr import solver
 from relerr.errors import ConvergenceError, RelerrError, ResamplingError
 from relerr.inference import (
+    _chi2_sf,
+    _normal_sf,
     gre_anova_test,
     lpre_anova_test,
     ols_log_covariance,
@@ -78,8 +83,10 @@ class TestWald:
         est = CovarianceEstimate(cov=np.diag(se**2), method="plugin_sandwich")
         z = np.where(se == 0, np.where(beta == 0, 0.0, np.inf),
                      np.abs(beta) / np.where(se == 0, 1.0, se))
-        assert np.array_equal(wald_p_values(fit, est), norm.sf(z))
-        assert np.array_equal(wald_p_values(fit, est, two_sided=True), 2.0 * norm.sf(z))
+        # equal to rounding: relerr takes the tail from math.erfc
+        np.testing.assert_allclose(wald_p_values(fit, est), norm.sf(z), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(wald_p_values(fit, est, two_sided=True), 2.0 * norm.sf(z),
+                                   rtol=1e-13, atol=0)
 
     def test_zero_se_edge_cases(self):
         from relerr.inference import CovarianceEstimate
@@ -88,6 +95,32 @@ class TestWald:
         p = wald_p_values(fit, est)
         assert p[0] == 0.0
         assert p[1] == pytest.approx(0.5)
+
+
+class TestTails:
+    # the grid steps by 0.1; at x = 1500, e^(-x/2) underflows
+    X = np.concatenate([[0.0, 1e-300], np.linspace(0.0, 60.0, 601), [700.0, 1500.0]])
+
+    @pytest.mark.parametrize("q", range(1, 31))
+    def test_chi2_matches_scipy(self, q):
+        ours = np.array([_chi2_sf(q, x) for x in self.X])
+        ref = chdtrc(q, self.X)
+        big = ref > 1e-300
+        np.testing.assert_allclose(ours[big], ref[big], rtol=1e-13, atol=0)
+        assert np.all(ours[~big] <= 1e-290)
+        # a plain odd-q series has sqrt(x) e^(-x/2) = inf * 0 = NaN at x = inf
+        assert _chi2_sf(q, math.inf) == 0.0
+        assert math.isnan(_chi2_sf(q, math.nan))
+
+    def test_normal_matches_scipy(self):
+        z = np.linspace(0.0, 40.0, 4001)
+        ours = np.array([_normal_sf(v) for v in z])
+        ref = ndtr(-z)
+        big = ref > 1e-300
+        np.testing.assert_allclose(ours[big], ref[big], rtol=1e-13, atol=0)
+        assert np.all(ours[~big] <= 1e-290)
+        assert _normal_sf(math.inf) == 0.0
+        assert math.isnan(_normal_sf(math.nan))
 
 
 class TestOlsCovariance:
@@ -128,7 +161,7 @@ class TestAnovaTest:
         gap = (fit_constrained_lpre(data, hyp).criterion_value
                - fit_lpre(data).criterion_value)
         assert res.statistic == pytest.approx(gap, abs=1e-10)
-        assert res.p_value == chi2.sf(res.statistic / res.scale, 1)
+        assert res.p_value == pytest.approx(chi2.sf(res.statistic / res.scale, 1), rel=1e-13)
 
     @pytest.mark.parametrize("seed, beta, zero", [
         (0, (1.0, 0.5, 0.0), [2]), (1, (1.0, 0.5, 0.0), [1, 2]),
@@ -137,7 +170,9 @@ class TestAnovaTest:
     def test_p_value_is_scipy_chi2_sf_exactly(self, seed, beta, zero):
         data, _ = big_dataset(seed, n=300, beta=beta)
         res = lpre_anova_test(data, LinearHypothesis.zero_coefs(zero, 3))
-        assert res.p_value == chi2.sf(res.statistic / res.scale, res.df)
+        # equal to rounding: relerr takes the tail in closed form
+        assert res.p_value == pytest.approx(chi2.sf(res.statistic / res.scale, res.df),
+                                            rel=1e-13)
 
     def test_scale_near_half_at_efficient_density(self):
         law = ErrorLaw("lpre_efficient")
@@ -231,6 +266,17 @@ class TestGreAnova:
                              rng=np.random.default_rng(2))
         assert res.p_value < 0.05
         assert res.p_value >= 1.0 / 121.0  # empirical floor
+
+    @pytest.mark.parametrize("criterion", [PRODUCT, SUM], ids=["product", "sum"])
+    def test_null_draws_invariant_to_the_tested_coefficient(self, criterion):
+        # the resamples refit the data recentred at beta-hat, so moving the
+        # data along the tested coefficient leaves the null draws alone
+        data, _ = big_dataset(10, n=100, beta=(1.0, 0.5, 0.0))
+        shifted = Dataset(data.x, data.y * np.exp(data.x @ np.array([0.0, 0.0, 0.5])))
+        hyp = LinearHypothesis.zero_coefs([2], 3)
+        a, b = (gre_anova_test(criterion, d, hyp, n_resample=50, rng=np.random.default_rng(3))
+                for d in (data, shifted))
+        assert b.scale == pytest.approx(a.scale, rel=1e-10)
 
 
 @pytest.mark.parametrize("inference", [
