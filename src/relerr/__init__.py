@@ -30,7 +30,6 @@ from .simulate import (
 from .solver import (
     FitResult,
     LinearHypothesis,
-    SolverOptions,
     check_design,
     fit_constrained_lpre,
     fit_gre,

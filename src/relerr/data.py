@@ -50,12 +50,6 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    def scale_y(self, c: float) -> "Dataset":
-        """Return a copy with every response multiplied by c > 0."""
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return Dataset(self.x, self.y * c)
-
 
 def _check_values(x: np.ndarray, y: np.ndarray):
     """ValueError unless x and y are finite and y > 0 (arrays of any shape)."""

@@ -38,6 +38,9 @@ BODYFAT_FEATURE_NAMES = [
     "thigh", "knee", "ankle", "biceps", "forearm", "wrist",
 ]
 
+#: rows of the body-fat data (file order) the pipeline trains on
+TRAIN_SIZE = 200
+
 COEFFICIENTS_HEADER = "method,coef,estimate,see,p_value"
 PREDICTION_HEADER = "method,mpe,mppe,mape,mspe"
 
@@ -55,17 +58,14 @@ class PredictionMetrics:
 
 def predict(fit: FitResult, x_row: np.ndarray) -> float:
     """Point prediction exp(x'beta-hat) for one design row (intercept included)."""
-    x_row = np.asarray(x_row, dtype=float).ravel()
-    if x_row.shape[0] != fit.beta.shape[0]:
-        raise ValueError("design row length does not match the fit")
-    eta = float(x_row @ fit.beta)
-    if abs(eta) > EXP_BOUND:
-        raise NumericOverflowError("prediction exponent out of range")
-    return float(np.exp(eta))
+    return float(predict_many(fit, np.ravel(x_row))[0])
 
 
 def predict_many(fit: FitResult, x: np.ndarray) -> np.ndarray:
+    """Point predictions exp(x'beta-hat), one per design row of x."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != fit.beta.shape[0]:
+        raise ValueError("design row length does not match the fit")
     eta = x @ fit.beta
     if np.any(np.abs(eta) > EXP_BOUND):
         raise NumericOverflowError("prediction exponent out of range")
@@ -120,15 +120,13 @@ def _read_bodyfat_csv(csv_path):
 def bodyfat_pipeline(
     csv_path,
     methods: Sequence[str] = inference.PAPER_ESTIMATORS,
-    train_size: int = 200,
     resamples: int = 500,
     seed: int = 20130501,
-    strict: bool = True,
 ):
     """Full body-fat study: standardize, split, fit, test, and score.
 
     Z-scores every covariate on the full usable sample, fits each method
-    on the first ``train_size`` rows (file order), and evaluates the
+    on the first ``TRAIN_SIZE`` rows (file order), and evaluates the
     remaining rows.  Returns (coefficient rows, metric rows) where each
     coefficient row is (method, name, estimate, see, p_value) and each
     metric row is (method, PredictionMetrics).
@@ -136,22 +134,20 @@ def bodyfat_pipeline(
     y, features = _read_bodyfat_csv(csv_path)
 
     keep = y != 0
-    if strict and np.sum(~keep) != 1:
+    if np.sum(~keep) != 1:
         raise RelerrError(
             f"expected exactly one zero response to drop, found {np.sum(~keep)}"
         )
     y, features = y[keep], features[keep]
-    if strict and y.shape[0] != 251:
+    if y.shape[0] != 251:
         raise RelerrError(f"expected 251 usable rows, found {y.shape[0]}")
     if np.any(y <= 0):
         raise RelerrError("responses must be positive after dropping zero rows")
-    if not 0 < train_size < y.shape[0]:
-        raise RelerrError("train size must split the sample into two blocks")
 
     z = (features - features.mean(axis=0)) / features.std(axis=0, ddof=0)
     x = np.hstack([np.ones((z.shape[0], 1)), z])
-    train = Dataset(x[:train_size], y[:train_size])
-    test_x, test_y = x[train_size:], y[train_size:]
+    train = Dataset(x[:TRAIN_SIZE], y[:TRAIN_SIZE])
+    test_x, test_y = x[TRAIN_SIZE:], y[TRAIN_SIZE:]
 
     names = ["intercept"] + list(BODYFAT_FEATURE_NAMES)
     coef_rows = []

@@ -29,7 +29,7 @@ from . import criteria, solver
 from .criteria import GreCriterion
 from .data import Dataset, check_beta
 from .errors import ConvergenceError, RelerrError, ResamplingError, SingularDesignError
-from .solver import FitResult, LinearHypothesis, SolverOptions
+from .solver import FitResult, LinearHypothesis
 
 _log = logging.getLogger("relerr")
 
@@ -198,23 +198,29 @@ def _khat(x, z, beta) -> np.ndarray:
     return np.where(num > 0, num, np.nan) / (4.0 * np.sum(eps_hat, axis=1))
 
 
-def _lpre_anova_tests(x, z, hypothesis: LinearHypothesis, basis: np.ndarray,
-                      opts: Optional[SolverOptions] = None) -> list:
+def _criterion_gaps(criterion: GreCriterion, x, z, w, basis: np.ndarray):
+    """The free fits of problems of one shape (designs x, log responses z
+    and weights w as in ``solver._fit_batch``) and, per problem, the
+    criterion gap max(constrained - free minimum, 0) over the null space
+    spanned by ``basis``, or the error of either fit."""
+    free = solver._fit_batch(criterion, x, z, w)
+    constrained = solver._fit_batch(criterion, x, z, w, basis)
+    return free, [f if isinstance(f, Exception) else c if isinstance(c, Exception)
+                  else max(c.criterion_value - f.criterion_value, 0.0)
+                  for f, c in zip(free, constrained)]
+
+
+def _lpre_anova_tests(x, z, hypothesis: LinearHypothesis, basis: np.ndarray) -> list:
     """``lpre_anova_test`` of each problem of a stack: designs x (B, n, p)
     of full rank, log responses z (B, n), and ``basis`` the null basis of
     ``hypothesis``.  Per problem its TestResult, or the RelerrError it
     raises."""
-    w = np.ones(z.shape)
-    free = solver._fit_batch(criteria.PRODUCT, x, z, w, opts)
-    constrained = solver._fit_batch(criteria.PRODUCT, x, z, w, opts, basis)
-    fitted = [i for i, (f, c) in enumerate(zip(free, constrained))
-              if not isinstance(f, Exception) and not isinstance(c, Exception)]
-    stat = np.array([max(constrained[i].criterion_value - free[i].criterion_value, 0.0)
-                     for i in fitted])
+    free, tests = _criterion_gaps(criteria.PRODUCT, x, z, np.ones(z.shape), basis)
+    fitted = [i for i, gap in enumerate(tests) if not isinstance(gap, Exception)]
+    stat = np.array([tests[i] for i in fitted])
     k_hat = _khat(x[fitted], z[fitted], np.array([free[i].beta for i in fitted]).reshape(
         len(fitted), x.shape[2]))
     p_value = [_chi2_sf(hypothesis.q, float(r)) for r in stat / k_hat]
-    tests = [f if isinstance(f, Exception) else c for f, c in zip(free, constrained)]
     for i, s, k, pv in zip(fitted, stat, k_hat, p_value):
         tests[i] = (RelerrError("chi-squared scale undefined: all residual ratios are 1")
                     if np.isnan(k) else TestResult(statistic=float(s), df=hypothesis.q,
@@ -222,11 +228,7 @@ def _lpre_anova_tests(x, z, hypothesis: LinearHypothesis, basis: np.ndarray,
     return tests
 
 
-def lpre_anova_test(
-    data: Dataset,
-    hypothesis: LinearHypothesis,
-    opts: Optional[SolverOptions] = None,
-) -> TestResult:
+def lpre_anova_test(data: Dataset, hypothesis: LinearHypothesis) -> TestResult:
     """Criterion-difference test of H0: H'beta = 0 under the product loss.
 
     The statistic is the constrained minus unconstrained minimum of the
@@ -236,7 +238,7 @@ def lpre_anova_test(
     _require_residual_dof(data)
     solver._require_full_rank(data)
     return solver._one(_lpre_anova_tests(data.x[None], np.log(data.y)[None], hypothesis,
-                                         solver._null_basis(hypothesis, data), opts))
+                                         solver._null_basis(hypothesis, data)))
 
 
 def _criterion(estimator) -> GreCriterion:
@@ -290,7 +292,6 @@ def random_weight_covariance(
     data: Dataset,
     n_resample: int = 500,
     rng: Optional[np.random.Generator] = None,
-    opts: Optional[SolverOptions] = None,
 ) -> CovarianceEstimate:
     """Random-weighting covariance of an estimator.
 
@@ -311,7 +312,7 @@ def random_weight_covariance(
     z = np.log(data.y)
 
     def estimates(w):
-        fits = solver._fit_batch(criterion, data.x, np.broadcast_to(z, w.shape), w, opts)
+        fits = solver._fit_batch(criterion, data.x, np.broadcast_to(z, w.shape), w)
         return [fit if isinstance(fit, Exception) else fit.beta for fit in fits]
 
     betas, skipped = _resample(estimates, data.n, n_resample, rng, "covariance")
@@ -325,7 +326,6 @@ def gre_anova_test(
     hypothesis: LinearHypothesis,
     n_resample: int = 500,
     rng: Optional[np.random.Generator] = None,
-    opts: Optional[SolverOptions] = None,
 ) -> TestResult:
     """Criterion-difference test for a general relative-error loss.
 
@@ -345,23 +345,15 @@ def gre_anova_test(
     basis = solver._null_basis(hypothesis, data)
     rng = rng if rng is not None else np.random.default_rng()
 
-    def criterion_differences(z, w):
-        """The unconstrained fits of log responses z under weights w
-        (B, n), and per row the criterion difference or the error of
-        either fit."""
-        z_rows = np.broadcast_to(z, w.shape)
-        free = solver._fit_batch(criterion, data.x, z_rows, w, opts)
-        constrained = solver._fit_batch(criterion, data.x, z_rows, w, opts, basis)
-        return free, [f if isinstance(f, Exception) else c if isinstance(c, Exception)
-                      else max(c.criterion_value - f.criterion_value, 0.0)
-                      for f, c in zip(free, constrained)]
+    def gaps(z, w):
+        return _criterion_gaps(criterion, data.x, np.broadcast_to(z, w.shape), w, basis)
 
     z = np.log(data.y)
-    [free], difference = criterion_differences(z, np.ones((1, data.n)))
-    observed = solver._one(difference)
+    [free], gap = gaps(z, np.ones((1, data.n)))
+    observed = solver._one(gap)
     centred = z - data.x @ free.beta
-    stats, _ = _resample(lambda w: criterion_differences(centred, w)[1], data.n,
-                         n_resample, rng, "calibration")
+    stats, _ = _resample(lambda w: gaps(centred, w)[1], data.n, n_resample, rng,
+                         "calibration")
     null_draws = np.asarray(stats)
     p_value = float((1 + np.sum(null_draws >= observed)) / (1 + null_draws.size))
     scale = float(np.mean(null_draws)) / hypothesis.q

@@ -298,6 +298,13 @@ def write_power_csv(rows: Sequence[PowerRow], path) -> None:
             writer.writerow([*beta, f"{r.alpha:g}", f"{r.reject_rate:.6g}"])
 
 
+#: the error laws of a spec ``name(a, b)``, by name
+_PARAMETRIC_LAWS = {"log_uniform": ErrorLaw.log_uniform, "log_normal": ErrorLaw.log_normal,
+                    "uniform": ErrorLaw.uniform}
+#: the spellings of a boolean config value
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def parse_error_law(text: str) -> ErrorLaw:
     """Parse an error-law spec like ``log_normal(0,1)`` or ``lpre_efficient``."""
     text = text.strip()
@@ -309,13 +316,13 @@ def parse_error_law(text: str) -> ErrorLaw:
     if not rest.endswith(")"):
         raise ValueError(f"malformed error law spec: {text!r}")
     args = [float(a) for a in rest[:-1].split(",") if a.strip()]
-    if name == "log_uniform":
-        return ErrorLaw.log_uniform(*args)
-    if name == "log_normal":
-        return ErrorLaw.log_normal(*args)
-    if name == "uniform":
-        return ErrorLaw.uniform(*args)
-    raise ValueError(f"unknown parametric error law: {name!r}")
+    make = _PARAMETRIC_LAWS.get(name)
+    if make is None:
+        raise ValueError(f"unknown parametric error law: {name!r}")
+    try:
+        return make(*args)
+    except TypeError:
+        raise ValueError(f"wrong number of parameters in error law spec: {text!r}") from None
 
 
 def load_config(path) -> dict:
@@ -345,6 +352,16 @@ def load_config(path) -> dict:
             raise ValueError(f"{path}: missing required key {key!r}")
         return default
 
+    def take_bool(key, default):
+        if key not in raw:
+            return default
+        value, lineno = raw.pop(key)
+        flag = _BOOLEANS.get(value.lower())
+        if flag is None:
+            raise ValueError(f"{path}:{lineno}: {key} must be true/false/yes/no/1/0, "
+                             f"got {value!r}")
+        return flag
+
     mode = take("mode", "estimation")
     if mode not in ("estimation", "power"):
         raise ValueError(f"{path}: mode must be 'estimation' or 'power'")
@@ -359,7 +376,7 @@ def load_config(path) -> dict:
         estimators=tuple(e.strip() for e in take(
             "estimators", ",".join(inference.PAPER_ESTIMATORS)).split(",")),
         seed=int(take("seed", "0")),
-        compute_see=take("compute_see", "true").lower() in ("true", "1", "yes"),
+        compute_see=take_bool("compute_see", True),
     )
     out = {"mode": mode, "config": config}
     if mode == "power":

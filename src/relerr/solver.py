@@ -6,7 +6,7 @@ sigma(r) of ``criteria``.  Without a kink this is plain Newton on a
 smooth convex function.  With one, |r| is replaced by the convex
 smoothing sqrt(r^2 + eps^2) - eps, and eps follows ``EPS_SCHEDULE``
 from 1e-1 down to 1e-10, each stage starting where the last one ended
-and taking at most ``SolverOptions.max_iterations`` Newton steps -- but
+and taking at most ``MAX_ITERATIONS`` Newton steps -- but
 only until the residuals at the kink are known, as in the finite
 smoothing algorithm of Madsen & Nielsen (1993, SIAM J. Optim.).  After a
 stage, the residuals near the kink form a set S; if |S| <= p, an
@@ -16,7 +16,7 @@ ends the fit; otherwise the next stage goes on from the smoothed point,
 and after the last stage the finish is tried whatever |S| is.
 
 A fit is returned only with an optimality certificate no larger than
-``SolverOptions.tol_gradient`` -- or, where the gradient's terms are so
+``TOL_GRADIENT`` -- or, where the gradient's terms are so
 large that rounding alone leaves more, no larger than 1000 rounding
 units of their summed magnitudes.  It is reported as
 ``FitResult.gradient_norm``:
@@ -30,9 +30,8 @@ units of their summed magnitudes.  It is reported as
 Anything else raises ``ConvergenceError`` with the best iterate attached.
 Constrained fits run the same solver on the design x @ B, with B an
 orthonormal basis of the hypothesis null space.  Every fit starts from
-the (weighted) least-squares fit of log y on its design, or from
-``SolverOptions.initial_beta``; if the criterion overflows there, from
-the intercept alone at max log y.
+the (weighted) least-squares fit of log y on its design; if the
+criterion overflows there, from the intercept alone at max log y.
 
 The Newton loop works on a batch: B problems of one shape (n, p), each
 with its own design (or one design shared by all), log y and weights.
@@ -60,29 +59,15 @@ from .errors import ConvergenceError, NumericOverflowError, SingularDesignError
 #: smoothing widths of |r| followed, in order, for a criterion with a kink
 EPS_SCHEDULE = tuple(10.0 ** -k for k in range(1, 11))
 ARMIJO_C = 1e-4
+#: the bound on a fit's optimality certificate (see the module docstring)
+TOL_GRADIENT = 1e-10
+#: the Newton steps of each smoothing stage and of each face of the finish
+MAX_ITERATIONS = 100
 # When a smoothing stage of width eps ends, the residuals within
 # _FACE_WIDTH * eps of 0 are taken to be at the kink.  At the smoothed
 # optimum a residual whose multiplier is u sits at eps |u| / sqrt(1 - u^2),
 # so a width of 1 would miss those with u near -1 or 1.
 _FACE_WIDTH = 10.0
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """``tol_gradient`` bounds the certificate (see the module docstring),
-    ``max_iterations`` the Newton steps of each smoothing stage and of
-    each face of the finish, and ``initial_beta`` replaces the
-    least-squares start."""
-
-    tol_gradient: float = 1e-10
-    max_iterations: int = 100
-    initial_beta: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.tol_gradient <= 0:
-            raise ValueError("tol_gradient must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -309,7 +294,7 @@ class _Batch:
         value, grad, (x, xt, r, w, slope, d2) = self._derivatives(beta, eps)
         return value, grad, xt @ (x * (w * d2)[:, :, None])
 
-    def finish(self, row, beta, eps, opts, last):
+    def finish(self, row, beta, eps, last):
         """The unsmoothed fit of problem ``row`` by an active set, from the
         end of its smoothing stage of width eps at beta: (beta, certificate,
         Newton steps), or None where it is not tried.
@@ -332,13 +317,13 @@ class _Batch:
             return None
         side = np.sign(r)
         steps = 0
-        for _ in range(opts.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             xs = x[at]
             # the least-squares projection onto the face, and a basis of it
             left, sv, vt = np.linalg.svd(xs, full_matrices=len(xs) < len(beta))
             rank = np.sum(sv > sv[:1] * max(xs.shape) * np.finfo(float).eps)
             beta = beta + vt[:rank].T @ (left[:, :rank].T @ (z[at] - xs @ beta) / sv[:rank])
-            beta, taken, hit = self._face_newton(x, z, w, beta, at, side, vt[rank:].T, opts)
+            beta, taken, hit = self._face_newton(x, z, w, beta, at, side, vt[rank:].T)
             steps += taken
             if hit is not None:
                 at[hit] = True
@@ -365,7 +350,7 @@ class _Batch:
         sign[on] = 0.0
         return -(x.T @ (w * (self.sigma(r)[1] + self.kink * sign))), on
 
-    def _face_newton(self, x, z, w, beta, at, side, basis, opts):
+    def _face_newton(self, x, z, w, beta, at, side, basis):
         """Damped Newton on beta + basis @ g for the unsmoothed criterion,
         each residual off S on its side of the kink: (beta, steps, hit),
         with ``hit`` the residual the last step took to the kink, or None.
@@ -379,8 +364,8 @@ class _Batch:
             return beta, 0, None
         xb = x @ basis
         value, grad = face(beta)
-        for steps in range(opts.max_iterations):
-            if np.linalg.norm(grad) <= 1e-2 * opts.tol_gradient:
+        for steps in range(MAX_ITERATIONS):
+            if np.linalg.norm(grad) <= 1e-2 * TOL_GRADIENT:
                 return beta, steps, None
             r = z - x @ beta
             move = _solve((xb.T @ (xb * (w * self.sigma(r)[2])[:, None]))[None], -grad[None])[0]
@@ -414,7 +399,7 @@ class _Batch:
             if t == reach[hit]:
                 return beta + t * step, steps + 1, hit
             beta, value, grad = beta + t * step, new_value, new_grad
-        return beta, opts.max_iterations, None
+        return beta, MAX_ITERATIONS, None
 
     def rounding_floor(self, beta, rows) -> np.ndarray:
         """The certificate that rounding alone can leave at beta: 1000
@@ -455,11 +440,11 @@ def _line_search(batch: _Batch, search, beta, value, grad, step, slope, eps):
     return beta, left
 
 
-def _minimize(batch: _Batch, beta: np.ndarray, opts: SolverOptions):
+def _minimize(batch: _Batch, beta: np.ndarray):
     """Damped Newton through the smoothing stages, for every row at once.
 
     Each row keeps its own stage, step count and line search, and is
-    frozen once it is done.  A stage takes at most ``max_iterations``
+    frozen once it is done.  A stage takes at most ``MAX_ITERATIONS``
     steps.  A smoothing stage ends once its Newton decrement is below its
     own width eps, or when the line search fails; then the row tries
     ``_Batch.finish``, and is done if that certifies it.  Otherwise it goes
@@ -488,13 +473,13 @@ def _minimize(batch: _Batch, beta: np.ndarray, opts: SolverOptions):
         overflow = ~(value < np.inf)
         if overflow.any():  # such a row ends here; keep its step finite
             hess[overflow], grad[overflow] = np.eye(p), 0.0
-        ended = overflow | (taken >= opts.max_iterations)
+        ended = overflow | (taken >= MAX_ITERATIONS)
         step = _solve(hess, -grad)
         slope = (grad * step).sum(axis=1)
         if batch.kink:
             ended |= -slope <= eps
         else:  # one stage, which ends once certified
-            ended |= cert <= opts.tol_gradient
+            ended |= cert <= TOL_GRADIENT
         go = ~ended
         iterations += go
         taken += go
@@ -504,13 +489,13 @@ def _minimize(batch: _Batch, beta: np.ndarray, opts: SolverOptions):
         done = ended & ((stage == last) | overflow)
         if batch.kink:  # a row whose stage ended tries the finish
             for b in np.flatnonzero(ended & ~overflow):
-                finished = batch.finish(b, beta[b], eps[b], opts, stage[b] == last)
+                finished = batch.finish(b, beta[b], eps[b], stage[b] == last)
                 if finished is None:
                     continue
                 exact, exact_cert, steps = finished
                 iterations[b] += steps
                 floor = batch.rounding_floor(exact[None], [b])[0]
-                if done[b] or exact_cert <= max(opts.tol_gradient, floor):
+                if done[b] or exact_cert <= max(TOL_GRADIENT, floor):
                     beta[b], cert[b], done[b] = exact, exact_cert, True
         stage += ended
         taken[ended] = 0
@@ -531,7 +516,6 @@ def _fit_batch(
     x: np.ndarray,
     z: np.ndarray,
     w: np.ndarray,
-    opts: Optional[SolverOptions] = None,
     basis: Optional[np.ndarray] = None,
 ) -> list:
     """Fit B problems of one shape (n, p), in batches of ``_batch_size``.
@@ -542,7 +526,6 @@ def _fit_batch(
     caller checks the rank.  Returns per problem its FitResult, or the
     ConvergenceError or NumericOverflowError its fit raises.
     """
-    opts = opts or SolverOptions()
     count, n = z.shape
     p = x.shape[-1]
     if not count:
@@ -551,7 +534,7 @@ def _fit_batch(
     if count > size:
         return [fit for s in range(0, count, size) for fit in _fit_batch(
             criterion, x if x.ndim == 2 else x[s:s + size], z[s:s + size],
-            w[s:s + size], opts, basis)]
+            w[s:s + size], basis)]
     if basis is not None:
         if basis.shape[1] == 0:  # H'b = 0 leaves b = 0 alone
             value = np.sum(w * criterion.rho(z), axis=1)
@@ -562,14 +545,7 @@ def _fit_batch(
     xtw = np.swapaxes(x, -1, -2) * w[:, None, :]
     start = _solve(xtw @ x, _matvec(xtw, z))  # weighted least squares
     with np.errstate(over="ignore", invalid="ignore"):
-        if opts.initial_beta is not None:
-            initial = np.asarray(opts.initial_beta, dtype=float).ravel()
-            if initial.shape[0] != p:
-                raise ValueError(f"beta has length {initial.shape[0]}, expected {p}")
-            initial = np.tile(initial if basis is None else basis.T @ initial, (count, 1))
-            usable = np.isfinite(batch.value(initial, np.full(count, EPS_SCHEDULE[0])))
-            start[usable] = initial[usable]
-        coef, value, iterations, cert, overflow = _minimize(batch, start, opts)
+        coef, value, iterations, cert, overflow = _minimize(batch, start)
         if overflow.any():
             # The asymmetric row grows like exp(e^r) and overflows for
             # r > 6.6; start again on the intercept alone at max log y,
@@ -579,11 +555,11 @@ def _fit_batch(
             intercept[:, 0] = z[again].max(axis=1)
             (coef[again], value[again], iterations[again], cert[again],
              overflow[again]) = _minimize(batch.subset(again), intercept if basis is None
-                                          else intercept @ basis, opts)
+                                          else intercept @ basis)
         if criterion.kink:  # the unsmoothed criterion
             value = np.sum(w * criterion.rho(z - _matvec(x, coef)), axis=1)
         cert[~np.isfinite(cert)] = np.inf
-        converged = cert <= opts.tol_gradient
+        converged = cert <= TOL_GRADIENT
         loose = np.flatnonzero(~converged)
         if loose.size:
             converged[loose] = cert[loose] <= batch.rounding_floor(coef[loose], loose)
@@ -597,7 +573,7 @@ def _fit_batch(
                         bool(converged[b]), criterion.name)
         fits.append(fit if fit.converged else ConvergenceError(
             f"{criterion.name} fit has no optimality certificate after {fit.iterations} "
-            f"iterations (residual {fit.gradient_norm:.3g} > {opts.tol_gradient:g} and "
+            f"iterations (residual {fit.gradient_norm:.3g} > {TOL_GRADIENT:g} and "
             f"above rounding)", fit))
     return fits
 
@@ -605,7 +581,6 @@ def _fit_batch(
 def _fit(
     criterion: GreCriterion,
     data: Dataset,
-    opts: Optional[SolverOptions],
     weights: Optional[np.ndarray],
     hypothesis: Optional[LinearHypothesis],
 ) -> FitResult:
@@ -613,13 +588,12 @@ def _fit(
     _require_full_rank(data)
     w = np.ones(data.n) if weights is None else np.asarray(weights, dtype=float)
     basis = None if hypothesis is None else _null_basis(hypothesis, data)
-    return _one(_fit_batch(criterion, data.x, np.log(data.y)[None], w[None], opts, basis))
+    return _one(_fit_batch(criterion, data.x, np.log(data.y)[None], w[None], basis))
 
 
 def fit_gre(
     criterion: GreCriterion,
     data: Dataset,
-    opts: Optional[SolverOptions] = None,
     weights: Optional[np.ndarray] = None,
     hypothesis: Optional[LinearHypothesis] = None,
 ) -> FitResult:
@@ -628,55 +602,42 @@ def fit_gre(
     Every criterion is convex in beta, so the returned point is a global
     minimizer.
     """
-    return _fit(criterion, data, opts, weights, hypothesis)
+    return _fit(criterion, data, weights, hypothesis)
 
 
-def fit_lpre(
-    data: Dataset,
-    opts: Optional[SolverOptions] = None,
-    weights: Optional[np.ndarray] = None,
-) -> FitResult:
+def fit_lpre(data: Dataset, weights: Optional[np.ndarray] = None) -> FitResult:
     """Minimize the product relative-error criterion.
 
     The criterion is smooth and strictly convex for full-rank designs, so
     the returned point is the unique global minimizer regardless of the
     starting point.  Raises ConvergenceError (with the best iterate
-    attached) if the gradient norm does not reach ``tol_gradient``.
+    attached) if the gradient norm does not reach ``TOL_GRADIENT``.
     """
-    return _fit(criteria.PRODUCT, data, opts, weights, None)
+    return _fit(criteria.PRODUCT, data, weights, None)
 
 
 def fit_constrained_lpre(
     data: Dataset,
     hypothesis: LinearHypothesis,
-    opts: Optional[SolverOptions] = None,
     weights: Optional[np.ndarray] = None,
 ) -> FitResult:
     """Minimize the product criterion over {b : H'b = 0}.
 
     With q = p the null space is {0} and beta = 0 is returned directly.
     """
-    return _fit(criteria.PRODUCT, data, opts, weights, hypothesis)
+    return _fit(criteria.PRODUCT, data, weights, hypothesis)
 
 
-def fit_lare(
-    data: Dataset,
-    opts: Optional[SolverOptions] = None,
-    weights: Optional[np.ndarray] = None,
-) -> FitResult:
+def fit_lare(data: Dataset, weights: Optional[np.ndarray] = None) -> FitResult:
     """Minimize the additive relative-error criterion."""
-    return _fit(criteria.SUM, data, opts, weights, None)
+    return _fit(criteria.SUM, data, weights, None)
 
 
 def fit_ls_log(data: Dataset, weights: Optional[np.ndarray] = None) -> FitResult:
     """Least squares of log y on x (the solver's starting point is exact)."""
-    return _fit(criteria.CRITERIA["ls_log"], data, None, weights, None)
+    return _fit(criteria.CRITERIA["ls_log"], data, weights, None)
 
 
-def fit_lad_log(
-    data: Dataset,
-    opts: Optional[SolverOptions] = None,
-    weights: Optional[np.ndarray] = None,
-) -> FitResult:
+def fit_lad_log(data: Dataset, weights: Optional[np.ndarray] = None) -> FitResult:
     """Least absolute deviations of log y on x."""
-    return _fit(criteria.CRITERIA["lad_log"], data, opts, weights, None)
+    return _fit(criteria.CRITERIA["lad_log"], data, weights, None)

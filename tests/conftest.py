@@ -71,6 +71,18 @@ def lad_log_loss(beta, data):
     return float(np.sum(np.abs(np.log(data.y) - data.x @ beta)))
 
 
+def minimize_from(criterion, data, beta):
+    """``solver._minimize`` of ``criterion`` on ``data`` from ``beta``, as a
+    batch of one: (beta, certificate, overflow)."""
+    from relerr import solver
+
+    batch = solver._Batch(criterion, data.x, np.log(data.y)[None], np.ones((1, data.n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef, _, _, cert, overflow = solver._minimize(
+            batch, np.asarray(beta, dtype=float)[None])
+    return coef[0], cert[0], overflow[0]
+
+
 def skip_one_resample(monkeypatch):
     """Make the first resample of a random-weighting covariance fail, and
     its retry too, so that the covariance skips it.  Of the outermost calls

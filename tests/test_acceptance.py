@@ -25,7 +25,7 @@ from relerr.distributions import (
 )
 from relerr.evaluate import bodyfat_pipeline
 from relerr.simulate import SimulationConfig, run_estimation_study, run_power_study
-from relerr.solver import SolverOptions, fit_gre, fit_lare, fit_lpre
+from relerr.solver import TOL_GRADIENT, fit_gre, fit_lare, fit_lpre
 
 import conftest
 from conftest import lpre_gradient, lpre_hessian, random_dataset
@@ -80,18 +80,21 @@ def test_criterion_02_minimizer_unique_across_starts():
     rng = np.random.default_rng(20130501)
     started = time.perf_counter()
     worst = 0.0
+    certified = True
     for _ in range(50):
         data, _ = random_dataset(rng, n=60, p=3)
         fits = []
         for _ in range(10):
-            opts = SolverOptions(initial_beta=rng.uniform(-2, 2, 3))
-            fits.append(fit_lpre(data, opts).beta)
+            beta, cert, overflow = conftest.minimize_from(PRODUCT, data, rng.uniform(-2, 2, 3))
+            certified &= not overflow and cert <= TOL_GRADIENT
+            fits.append(beta)
         fits = np.array(fits)
         spread = np.max(fits, axis=0) - np.min(fits, axis=0)
         worst = max(worst, float(spread.max()))
     elapsed = time.perf_counter() - started
-    _report(2, worst < 1e-8 and elapsed < 10.0,
-            f"10 starts x 50 datasets agree (max spread {worst:.1e}, {elapsed:.1f}s)")
+    _report(2, certified and worst < 1e-8 and elapsed < 10.0,
+            f"10 starts x 50 datasets certify and agree (max spread {worst:.1e}, "
+            f"{elapsed:.1f}s)")
 
 
 def test_criterion_03_intercept_only_closed_form():
@@ -261,7 +264,7 @@ def test_criterion_11_response_scale_invariance():
     beta = np.array([1.0, 0.5, -0.5])
     y = np.exp(x @ beta) * np.exp(0.4 * rng.standard_normal(n))
     data = Dataset(x, y)
-    scaled = data.scale_y(1000.0)
+    scaled = Dataset(x, y * 1000.0)
     worst_slope = 0.0
     worst_intercept = 0.0
     fitters = (

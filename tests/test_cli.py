@@ -273,6 +273,27 @@ class TestSimulate:
                                    "coefficients (n = 3, p = 3)")
         assert "Traceback" not in r.output
 
+    @pytest.mark.parametrize("spec", ["log_normal(0,1,5)", "log_uniform(1)", "uniform(1)"])
+    def test_malformed_error_law_exits_1(self, runner, tmp_path, spec):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"beta = 1, 0.5\nerror_law = {spec}\nn = 20\nreplications = 2\n")
+        r = runner.invoke(main, [
+            "simulate", "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
+        assert r.exit_code == 1
+        assert r.output.startswith(f"error: wrong number of parameters in error law spec: "
+                                   f"{spec!r}")
+        assert "Traceback" not in r.output
+
+    def test_mistyped_compute_see_exits_1(self, runner, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("beta = 1, 0.5\nerror_law = log_normal(0, 0.5)\nn = 20\n"
+                       "replications = 2\nestimators = lpre\ncompute_see = ture\n")
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["simulate", "--config", str(cfg), "--output", str(out)])
+        assert r.exit_code == 1
+        assert r.output.startswith(f"error: {cfg}:6: compute_see must be")
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, runner, tmp_path):
         r = runner.invoke(main, [
             "simulate", "--config", str(tmp_path / "absent.cfg"),

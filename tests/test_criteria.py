@@ -187,7 +187,7 @@ class TestScaleInvariance:
             c = rng.uniform(0.1, 10.0)
             shifted = beta.copy()
             shifted[0] += math.log(c)
-            moved = gre_loss(crit, shifted, data.scale_y(c))
+            moved = gre_loss(crit, shifted, Dataset(data.x, data.y * c))
             base = gre_loss(crit, beta, data)
             assert math.isfinite(moved) == math.isfinite(base)
             if math.isfinite(base):

@@ -43,9 +43,14 @@ class TestPredict:
         for i in range(5):
             assert many[i] == pytest.approx(predict(fit, x[i]))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(ValueError, match="design row length does not match the fit"):
             predict(fit_of([1.0, 2.0]), [1.0])
+        with pytest.raises(ValueError, match="design row length does not match the fit"):
+            predict_many(fit_of([1.0, 2.0]), np.ones((4, 3)))
+        data, _ = random_dataset(rng, n=40)
+        with pytest.raises(ValueError, match="design row length does not match the fit"):
+            evaluate_split("lpre", data, data.x[:, :2], data.y)
 
     def test_overflow_guard(self):
         with pytest.raises(NumericOverflowError):
@@ -109,8 +114,9 @@ class TestEvaluateSplit:
             evaluate_split("ridge", data, data.x, data.y)
 
 
-def _write_fake_bodyfat(path, n=252, seed=0):
-    """Synthetic file in the case-study layout with one zero response."""
+def _write_fake_bodyfat(path, n=252, seed=0, zeros=(41,)):
+    """Synthetic file in the case-study layout with zero responses at the
+    rows ``zeros``."""
     rng = np.random.default_rng(seed)
     cols = (["bodyfat", "age", "height", "weight"]
             + BODYFAT_COLUMNS["circumferences"])
@@ -122,7 +128,7 @@ def _write_fake_bodyfat(path, n=252, seed=0):
             height = rng.uniform(64, 78)
             weight = rng.uniform(120, 250)
             circ = rng.uniform(20, 120, 10)
-            body = 0.0 if i == 41 else rng.uniform(4, 45)
+            body = 0.0 if i in zeros else rng.uniform(4, 45)
             w.writerow([f"{v:.4f}" for v in [body, age, height, weight, *circ]])
     return path
 
@@ -161,10 +167,14 @@ class TestBodyfatPipeline:
 
     def test_strict_checks(self, tmp_path):
         path = _write_fake_bodyfat(tmp_path / "short.csv", n=100)
-        with pytest.raises(RelerrError):
-            bodyfat_pipeline(path)  # wrong usable-row count
-        bodyfat_pipeline(path, methods=("ls",), strict=False,
-                         train_size=60, resamples=10)
+        with pytest.raises(RelerrError, match="expected 251 usable rows"):
+            bodyfat_pipeline(path)
+        for zeros in ((), (41, 42)):
+            path = _write_fake_bodyfat(tmp_path / "zeros.csv", n=251 + len(zeros), zeros=zeros)
+            with pytest.raises(RelerrError, match="expected exactly one zero response"):
+                bodyfat_pipeline(path)
+        bodyfat_pipeline(_write_fake_bodyfat(tmp_path / "full.csv"), methods=("ls",),
+                         resamples=10)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"

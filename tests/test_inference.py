@@ -21,7 +21,7 @@ from relerr.inference import (
     sandwich_covariance,
     wald_p_values,
 )
-from relerr.solver import FitResult, LinearHypothesis, SolverOptions, fit_lpre, fit_ls_log
+from relerr.solver import FitResult, LinearHypothesis, fit_lpre, fit_ls_log
 
 from conftest import random_dataset
 
@@ -218,13 +218,13 @@ class TestRandomWeighting:
         with pytest.raises(ValueError):
             random_weight_covariance("huber", data, n_resample=10)
 
-    def test_uncertified_resample_fits_raise(self):
+    def test_uncertified_resample_fits_raise(self, monkeypatch):
         # one Newton step per smoothing stage never certifies a LARE fit
         data, _ = big_dataset(4, n=120)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         with pytest.raises(ResamplingError):
             random_weight_covariance("lare", data, n_resample=20,
-                                     rng=np.random.default_rng(9),
-                                     opts=SolverOptions(max_iterations=1))
+                                     rng=np.random.default_rng(9))
 
     def test_failed_resample_fit_is_retried_then_counted(self, monkeypatch):
         data, _ = big_dataset(4, n=120)

@@ -94,7 +94,7 @@ def test_invariances(name, n, p, seed, weighted, log_c):
                                       fit.beta)
 
     # y -> c y moves only the intercept, by log c
-    scaled = fit_gre(criterion, data.scale_y(math.exp(log_c)), weights=w)
+    scaled = fit_gre(criterion, Dataset(data.x, data.y * math.exp(log_c)), weights=w)
     np.testing.assert_allclose(scaled.beta - fit.beta, np.eye(p)[0] * log_c,
                                rtol=0, atol=1e-8)
     assert abs(scaled.criterion_value - fit.criterion_value) <= tol

@@ -1,6 +1,7 @@
 import csv
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,9 @@ class TestParsing:
             parse_error_law("log_normal(0,1")
         with pytest.raises(ValueError):
             parse_error_law("gamma(1,1)")
+        for spec in ("log_normal(0,1,5)", "log_uniform(1)", "uniform(1)"):
+            with pytest.raises(ValueError, match=re.escape(repr(spec))):
+                parse_error_law(spec)
 
     def test_load_estimation_config(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -333,6 +337,19 @@ class TestParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("beta = 1\nerror_law = log_normal(0,1)\nbogus = 1\n")
         with pytest.raises(ValueError, match="bogus"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("Yes", True), ("1", True), ("FALSE", False), ("no", False), ("0", False)])
+    def test_compute_see_spellings(self, tmp_path, text, value):
+        path = tmp_path / "sim.cfg"
+        path.write_text(f"beta = 1, 0.5\nerror_law = log_normal(0,1)\ncompute_see = {text}\n")
+        assert load_config(path)["config"].compute_see is value
+
+    def test_compute_see_typo_rejected(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("beta = 1, 0.5\nerror_law = log_normal(0,1)\ncompute_see = ture\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:") + ".*'ture'"):
             load_config(path)
 
     def test_load_config_missing_required(self, tmp_path):

@@ -5,13 +5,12 @@ import pytest
 import scipy.linalg
 from scipy.optimize import minimize
 
-from relerr.criteria import ASYMMETRIC, CRITERIA, MAX, SUM, gre_loss
+from relerr.criteria import ASYMMETRIC, CRITERIA, MAX, PRODUCT, SUM, gre_loss
 from relerr import solver
 from relerr.data import Dataset
 from relerr.errors import ConvergenceError, SingularDesignError
 from relerr.solver import (
     LinearHypothesis,
-    SolverOptions,
     check_design,
     fit_constrained_lpre,
     fit_gre,
@@ -21,7 +20,7 @@ from relerr.solver import (
     fit_ls_log,
 )
 
-from conftest import lad_log_loss, lpre_gradient, lpre_loss, random_dataset
+from conftest import lad_log_loss, lpre_gradient, lpre_loss, minimize_from, random_dataset
 
 
 class TestFitLpre:
@@ -71,17 +70,16 @@ class TestFitLpre:
     def test_scale_equivariance(self, rng):
         data, _ = random_dataset(rng, n=50)
         fit = fit_lpre(data)
-        scaled = fit_lpre(data.scale_y(1000.0))
+        scaled = fit_lpre(Dataset(data.x, data.y * 1000.0))
         assert scaled.beta[0] == pytest.approx(fit.beta[0] + math.log(1000.0), abs=1e-9)
         np.testing.assert_allclose(scaled.beta[1:], fit.beta[1:], atol=1e-9)
 
     def test_extreme_start_still_converges(self, rng):
         data, _ = random_dataset(rng, n=50)
-        opts = SolverOptions(initial_beta=np.full(data.p, 5.0))
-        fit = fit_lpre(data, opts)
-        assert fit.converged
+        beta, cert, overflow = minimize_from(PRODUCT, data, np.full(data.p, 5.0))
+        assert not overflow and cert <= solver.TOL_GRADIENT
         ref = fit_lpre(data)
-        np.testing.assert_allclose(fit.beta, ref.beta, atol=1e-8)
+        np.testing.assert_allclose(beta, ref.beta, atol=1e-8)
 
 
 class TestDesignChecks:
@@ -193,7 +191,7 @@ class TestGreFits:
     def test_gre_scale_equivariance(self, rng, crit):
         data, _ = random_dataset(rng, n=40)
         fit = fit_gre(crit, data)
-        scaled = fit_gre(crit, data.scale_y(1000.0))
+        scaled = fit_gre(crit, Dataset(data.x, data.y * 1000.0))
         assert scaled.beta[0] == pytest.approx(fit.beta[0] + math.log(1000.0), abs=1e-6)
         np.testing.assert_allclose(scaled.beta[1:], fit.beta[1:], atol=1e-6)
 
@@ -352,10 +350,11 @@ class TestKinkedCertificates:
         assert fit.converged and fit.gradient_norm <= 1e-10
         np.testing.assert_allclose(fit.beta, beta, rtol=0, atol=1e-10)
 
-    def test_iteration_cap_raises_with_best_iterate(self):
+    def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
         data, _ = correlated_design()
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as info:
-            fit_lare(data, SolverOptions(max_iterations=1))
+            fit_lare(data)
         assert info.value.result is not None
         assert info.value.result.gradient_norm > 1e-10
 
@@ -382,7 +381,7 @@ class TestBatchEqualsSingleFits:
         for data, fit in zip(datasets, fits):
             single = fit_gre(CRITERIA[name], data)
             np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
-            assert fit.gradient_norm <= SolverOptions().tol_gradient
+            assert fit.gradient_norm <= solver.TOL_GRADIENT
 
     @pytest.mark.parametrize("p", [3, 13])
     @pytest.mark.parametrize("name", sorted(CRITERIA))
@@ -395,7 +394,7 @@ class TestBatchEqualsSingleFits:
         for weights, fit in zip(w, fits):
             single = fit_gre(CRITERIA[name], data, weights=weights)
             np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
-            assert fit.gradient_norm <= SolverOptions().tol_gradient
+            assert fit.gradient_norm <= solver.TOL_GRADIENT
 
     @pytest.mark.parametrize("p", [3, 13])
     @pytest.mark.parametrize("name", sorted(CRITERIA))
@@ -407,24 +406,24 @@ class TestBatchEqualsSingleFits:
         for data, weights, fit in zip(datasets, w, fits):
             single = fit_gre(CRITERIA[name], data, weights=weights, hypothesis=hyp)
             np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
-            assert fit.gradient_norm <= SolverOptions().tol_gradient
+            assert fit.gradient_norm <= solver.TOL_GRADIENT
 
-    def test_uncertified_row_is_reported_alone(self):
+    def test_uncertified_row_is_reported_alone(self, monkeypatch):
         # One Newton step per smoothing stage and per face cannot certify a
         # LARE fit of noisy data at p = 13; exact responses are certified at
         # their least-squares start.
-        opts = SolverOptions(max_iterations=1)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         datasets, x, z = batch_problems(13)
         z[1:] = (x[1:] @ np.linspace(1.0, -0.2, 13)[:, None])[:, :, 0]
         w = np.ones(z.shape)
-        fits = solver._fit_batch(SUM, x, z, w, opts)
+        fits = solver._fit_batch(SUM, x, z, w)
         assert isinstance(fits[0], ConvergenceError)
-        assert fits[0].result.gradient_norm > opts.tol_gradient
+        assert fits[0].result.gradient_norm > solver.TOL_GRADIENT
         with pytest.raises(ConvergenceError) as info:
-            fit_lare(datasets[0], opts)
+            fit_lare(datasets[0])
         np.testing.assert_allclose(fits[0].result.beta, info.value.result.beta,
                                    rtol=0, atol=1e-10)
-        alone = solver._fit_batch(SUM, x[1:], z[1:], w[1:], opts)
+        alone = solver._fit_batch(SUM, x[1:], z[1:], w[1:])
         for fit, ref in zip(fits[1:], alone):
             assert fit.converged
             np.testing.assert_array_equal(fit.beta, ref.beta)
