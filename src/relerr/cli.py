@@ -118,8 +118,9 @@ def cmd_test(input_path, response, zero_coefs, hypothesis_file):
 @main.command("simulate")
 @click.option("--config", "config_path", required=True, help="key=value config file")
 @click.option("--output", required=True, help="CSV path for the result table")
-@click.option("--seed", default=None, type=int, help="override the config seed")
-@click.option("--threads", default=1, show_default=True, type=int)
+@click.option("--seed", default=None, type=click.IntRange(min=0),
+              help="override the config seed")
+@click.option("--threads", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--replications", default=None, type=int,
               help="override the config replication count")
 def cmd_simulate(config_path, output, seed, threads, replications):

@@ -68,6 +68,11 @@ class SimulationConfig:
         unknown = set(self.estimators) - set(inference.ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if self.compute_see and self.resample_size < 2 and any(
+                inference.ESTIMATORS[name].covariance == "random_weighting"
+                for name in self.estimators):
+            raise ValueError(f"resample_size = {self.resample_size}: random-weighting "
+                             "standard errors need at least two resamples")
 
     @property
     def p(self) -> int:
@@ -249,6 +254,14 @@ class _PowerTask:
         return outcomes
 
 
+def _check_levels(alphas):
+    """``alphas``, or ValueError unless every significance level lies in (0, 1)."""
+    for alpha in alphas:
+        if not 0 < alpha < 1:
+            raise ValueError(f"significance level {alpha} is outside (0, 1)")
+    return alphas
+
+
 def run_power_study(
     config: SimulationConfig,
     hypothesis_coefs: Sequence[int],
@@ -260,8 +273,17 @@ def run_power_study(
 
     ``hypothesis_coefs`` are the coefficient indices tested jointly zero;
     grid points where those entries are zero measure size, others power.
+    The grid needs at least one point, each with p coefficients, and every
+    level must lie in (0, 1); all are checked before any replication runs.
     """
     inference._require_residual_dof(config)
+    if len(beta_grid) == 0:
+        raise ValueError("beta_grid has no points")
+    for beta in beta_grid:
+        if len(beta) != config.p:
+            raise ValueError(f"beta_grid point {tuple(beta)} has {len(beta)} coefficients, "
+                             f"beta has {config.p}")
+    _check_levels(alpha_levels)
     rows = []
     hypothesis = LinearHypothesis.zero_coefs(hypothesis_coefs, config.p)
     task = _PowerTask(hypothesis, hypothesis.null_basis())
@@ -325,16 +347,49 @@ def parse_error_law(text: str) -> ErrorLaw:
         raise ValueError(f"wrong number of parameters in error law spec: {text!r}") from None
 
 
-def load_config(path) -> dict:
-    """Read a key=value simulation config file.
+def _checked(parse, accept, reason):
+    """A value parser: parse(text), or ValueError(reason) if ``accept`` rejects it."""
+    def parse_checked(text):
+        if not accept(value := parse(text)):
+            raise ValueError(reason)
+        return value
+    return parse_checked
 
-    Recognized keys: mode (estimation|power), beta (comma list),
-    error_law, n, replications, resample_size, estimators (comma list),
-    seed, compute_see, zero_coefs (comma list), beta_grid
-    (semicolon-separated comma lists), alphas (comma list).  Returns the
-    parsed SimulationConfig under "config" plus mode-specific entries.
-    """
-    raw = {}
+
+def _comma_list(kind):
+    """A parser of a comma-separated list of ``kind`` values."""
+    return lambda text: tuple(kind(v) for v in text.split(","))
+
+
+#: each config key: its value parser, its default (None: the key is
+#: required) and whether only power mode reads it
+_KEYS = {
+    "mode": (_checked(str, lambda mode: mode in ("estimation", "power"),
+                      "must be estimation or power"), "estimation", False),
+    "beta": (_comma_list(float), None, False),
+    "error_law": (parse_error_law, None, False),
+    "n": (int, 200, False),
+    "replications": (int, 1000, False),
+    "resample_size": (int, 500, False),
+    "estimators": (_comma_list(str.strip), inference.PAPER_ESTIMATORS, False),
+    "seed": (_checked(int, lambda seed: seed >= 0, "must be non-negative"), 0, False),
+    "compute_see": (_checked(lambda text: _BOOLEANS.get(text.lower()), lambda b: b is not None,
+                             "must be true/false/yes/no/1/0"), True, False),
+    "zero_coefs": (_comma_list(int), None, True),
+    "beta_grid": (lambda text: [_comma_list(float)(point) for point in text.split(";")
+                                if point.strip()], None, True),
+    "alphas": (lambda text: _check_levels(_comma_list(float)(text)), (0.05, 0.01), True),
+}
+
+
+def load_config(path) -> dict:
+    """Read a key=value simulation config file with the keys of ``_KEYS`` into "mode",
+    "config" (a SimulationConfig) and, in power mode, "zero_coefs", "beta_grid" and
+    "alphas".  A bad line raises ValueError("<path>:<line>: <key> = '<value>': <reason>")."""
+    def fail(key, reason):
+        raise ValueError(f"{path}:{lines[key][0]}: {key} = {lines[key][1]!r}: {reason}") from None
+
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -342,54 +397,21 @@ def load_config(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            raw[key.strip()] = (value.strip(), lineno)
-
-    def take(key, default=None, required=False):
-        if key in raw:
-            return raw.pop(key)[0]
-        if required:
-            raise ValueError(f"{path}: missing required key {key!r}")
-        return default
-
-    def take_bool(key, default):
-        if key not in raw:
-            return default
-        value, lineno = raw.pop(key)
-        flag = _BOOLEANS.get(value.lower())
-        if flag is None:
-            raise ValueError(f"{path}:{lineno}: {key} must be true/false/yes/no/1/0, "
-                             f"got {value!r}")
-        return flag
-
-    mode = take("mode", "estimation")
-    if mode not in ("estimation", "power"):
-        raise ValueError(f"{path}: mode must be 'estimation' or 'power'")
-    beta = tuple(float(b) for b in take("beta", required=True).split(","))
-    law = parse_error_law(take("error_law", required=True))
-    config = SimulationConfig(
-        beta_true=beta,
-        error_law=law,
-        n=int(take("n", "200")),
-        replications=int(take("replications", "1000")),
-        resample_size=int(take("resample_size", "500")),
-        estimators=tuple(e.strip() for e in take(
-            "estimators", ",".join(inference.PAPER_ESTIMATORS)).split(",")),
-        seed=int(take("seed", "0")),
-        compute_see=take_bool("compute_see", True),
-    )
-    out = {"mode": mode, "config": config}
-    if mode == "power":
-        out["zero_coefs"] = tuple(
-            int(i) for i in take("zero_coefs", required=True).split(","))
-        grid_text = take("beta_grid", required=True)
-        out["beta_grid"] = [
-            tuple(float(v) for v in point.split(","))
-            for point in grid_text.split(";") if point.strip()
-        ]
-        out["alphas"] = tuple(
-            float(a) for a in take("alphas", "0.05,0.01").split(","))
-    if raw:
-        key, (_, lineno) = next(iter(raw.items()))
-        raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    return out
+            key, _, text = (part.strip() for part in stripped.partition("="))
+            lines[key] = (lineno, text)
+            if key not in _KEYS:
+                fail(key, "unknown key")
+            try:
+                values[key] = _KEYS[key][0](text)
+            except (ValueError, TypeError) as exc:
+                fail(key, exc)
+    mode = values.setdefault("mode", "estimation")
+    for key, (_, default, power_only) in _KEYS.items():
+        if power_only and mode == "estimation" and key in values:
+            fail(key, "read only in power mode")
+        if key not in values and (mode == "power" or not power_only):
+            if default is None:
+                raise ValueError(f"{path}: missing required key {key!r}")
+            values[key] = default
+    fields = {key: values.pop(key) for key in list(values) if key != "mode" and not _KEYS[key][2]}
+    return {**values, "config": SimulationConfig(beta_true=fields.pop("beta"), **fields)}

@@ -280,8 +280,8 @@ class TestSimulate:
         r = runner.invoke(main, [
             "simulate", "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
         assert r.exit_code == 1
-        assert r.output.startswith(f"error: wrong number of parameters in error law spec: "
-                                   f"{spec!r}")
+        assert r.output.startswith(f"error: {cfg}:2: error_law = {spec!r}: wrong number of "
+                                   f"parameters in error law spec: {spec!r}")
         assert "Traceback" not in r.output
 
     def test_mistyped_compute_see_exits_1(self, runner, tmp_path):
@@ -291,7 +291,71 @@ class TestSimulate:
         out = tmp_path / "o.csv"
         r = runner.invoke(main, ["simulate", "--config", str(cfg), "--output", str(out)])
         assert r.exit_code == 1
-        assert r.output.startswith(f"error: {cfg}:6: compute_see must be")
+        assert r.output.startswith(f"error: {cfg}:6: compute_see = 'ture': must be "
+                                   "true/false/yes/no/1/0")
+        assert not out.exists()
+
+    POWER_CONFIG = ("mode = power\nbeta = 1, 0.5, 0\nerror_law = log_normal(0, 0.5)\n"
+                    "n = 20\nreplications = 2\nseed = 3\nzero_coefs = 2\n"
+                    "beta_grid = 1,0.5,0\nalphas = 0.05\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "2OO"), ("seed", "-1"), ("replications", "1.5"), ("beta", "1,,1"),
+        ("zero_coefs", "1,a"), ("alphas", "abc")])
+    def test_bad_value_names_file_line_and_key(self, runner, tmp_path, key, value):
+        lines = self.POWER_CONFIG.splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(key))
+        lines[lineno - 1] = f"{key} = {value}"
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["simulate", "--config", str(cfg), "--output", str(out)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith(f"error: {cfg}:{lineno}: {key} = {value!r}: ")
+        assert "Traceback" not in r.output
+        assert not out.exists()
+
+    def test_grid_point_of_wrong_length_exits_1(self, runner, tmp_path):
+        cfg = tmp_path / "pow.cfg"
+        cfg.write_text(self.POWER_CONFIG.replace("beta_grid = 1,0.5,0",
+                                                 "beta_grid = 1,0.5,0; 1,0.5"))
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["simulate", "--config", str(cfg), "--output", str(out)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith("error: beta_grid point (1.0, 0.5) has 2 coefficients, "
+                                   "beta has 3")
+        assert not out.exists()
+
+    def test_empty_grid_exits_1(self, runner, tmp_path):
+        cfg = tmp_path / "pow.cfg"
+        cfg.write_text(self.POWER_CONFIG.replace("beta_grid = 1,0.5,0", "beta_grid = ;"))
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["simulate", "--config", str(cfg), "--output", str(out)])
+        assert r.exit_code == 1
+        assert r.output.startswith("error: beta_grid has no points")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.05", "nan"])
+    def test_level_outside_unit_interval_exits_1(self, runner, tmp_path, alpha):
+        cfg = tmp_path / "pow.cfg"
+        cfg.write_text(self.POWER_CONFIG.replace("alphas = 0.05", f"alphas = 0.05, {alpha}"))
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["simulate", "--config", str(cfg), "--output", str(out)])
+        assert r.exit_code == 1
+        assert r.output.startswith(f"error: {cfg}:9: alphas = '0.05, {alpha}': significance "
+                                   f"level {float(alpha)} is outside (0, 1)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--threads", "0"), ("--threads", "-2"), ("--seed", "-1")])
+    def test_out_of_range_option_is_a_usage_error(self, runner, tmp_path, option, value):
+        cfg = tmp_path / "pow.cfg"
+        cfg.write_text(self.POWER_CONFIG)
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["simulate", "--config", str(cfg), "--output", str(out),
+                                 option, value])
+        assert r.exit_code == 2
+        assert f"Invalid value for '{option}'" in r.output
         assert not out.exists()
 
     def test_missing_config_exits_2(self, runner, tmp_path):

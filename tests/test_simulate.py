@@ -2,6 +2,7 @@ import csv
 import logging
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestConfig:
         with pytest.raises(RelerrError, match=r"n = 3, p = 3"):
             small_config(n=3)
         assert small_config(n=3, compute_see=False).n == 3
+
+    @pytest.mark.parametrize("estimators", [("lare",), ("lpre", "lad"), ("gre:max",)])
+    def test_rejects_one_resample_for_random_weighting(self, estimators):
+        with pytest.raises(ValueError, match=r"resample_size = 1: .*at least two resamples"):
+            small_config(estimators=estimators, resample_size=1)
+
+    def test_one_resample_allowed_when_unused(self):
+        assert small_config(estimators=("lpre", "ls"), resample_size=1).resample_size == 1
+        assert small_config(estimators=("lare",), resample_size=1,
+                            compute_see=False).resample_size == 1
 
     def test_generate_dataset_shape_and_intercept(self):
         cfg = small_config()
@@ -199,6 +210,33 @@ class TestPowerStudy:
         cfg = small_config(n=3, compute_see=False)
         with pytest.raises(RelerrError, match=r"n = 3, p = 3"):
             run_power_study(cfg, [2], [(1.0, 0.5, 0.0)], (0.05,))
+
+    @staticmethod
+    def no_replication_runs(monkeypatch):
+        def draw_chunk(config, reps):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr(simulate, "_draw_chunk", draw_chunk)
+
+    def test_grid_point_of_wrong_length_rejected_before_any_fit(self, monkeypatch):
+        self.no_replication_runs(monkeypatch)
+        cfg = small_config(compute_see=False)
+        grid = [(1.0, 0.5, 0.0), (1.0, 0.5), (1.0, 0.5, 0.0, 0.0)]
+        with pytest.raises(ValueError, match=re.escape(
+                "beta_grid point (1.0, 0.5) has 2 coefficients, beta has 3")):
+            run_power_study(cfg, [2], grid, (0.05,))
+        with pytest.raises(ValueError, match=re.escape(
+                "beta_grid point (1.0, 0.5, 0.0, 0.0) has 4 coefficients, beta has 3")):
+            run_power_study(cfg, [2], grid[::2], (0.05,))
+        with pytest.raises(ValueError, match="beta_grid has no points"):
+            run_power_study(cfg, [2], [], (0.05,))
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.05, float("nan")])
+    def test_level_outside_unit_interval_rejected_before_any_fit(self, monkeypatch, alpha):
+        self.no_replication_runs(monkeypatch)
+        cfg = small_config(compute_see=False)
+        with pytest.raises(ValueError, match=re.escape(
+                f"significance level {alpha} is outside (0, 1)")):
+            run_power_study(cfg, [2], [(1.0, 0.5, 0.0)], (0.05, alpha))
 
     def test_deterministic_across_workers(self):
         cfg = small_config(replications=16, compute_see=False, seed=3)
@@ -356,4 +394,68 @@ class TestParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("mode = estimation\n")
         with pytest.raises(ValueError, match="beta"):
+            load_config(path)
+
+    def test_load_shipped_table1_config(self):
+        out = load_config(Path(__file__).parents[1] / "configs" / "table1_lognormal.cfg")
+        assert out == {"mode": "estimation", "config": SimulationConfig(
+            beta_true=(1.0, 1.0, 1.0), error_law=ErrorLaw.log_normal(0.0, 1.0), n=200,
+            replications=1000, resample_size=500, estimators=("lpre", "ls"), seed=10,
+            compute_see=True)}
+
+    def test_load_readme_power_example(self, tmp_path):
+        path = tmp_path / "power.cfg"
+        path.write_text(
+            "mode = power\n"
+            "beta = 1, 1, 0\n"
+            "error_law = lpre_efficient\n"
+            "n = 200\n"
+            "replications = 1000\n"
+            "seed = 10\n"
+            "compute_see = false\n"
+            "zero_coefs = 2\n"
+            "beta_grid = 1,1,0; 1,1,0.1; 1,1,0.2\n"
+            "alphas = 0.05, 0.01\n"
+        )
+        assert load_config(path) == {
+            "mode": "power",
+            "config": SimulationConfig(
+                beta_true=(1.0, 1.0, 0.0), error_law=ErrorLaw("lpre_efficient"), n=200,
+                replications=1000, resample_size=500, estimators=("lpre", "lare", "ls", "lad"),
+                seed=10, compute_see=False),
+            "zero_coefs": (2,),
+            "beta_grid": [(1.0, 1.0, 0.0), (1.0, 1.0, 0.1), (1.0, 1.0, 0.2)],
+            "alphas": (0.05, 0.01),
+        }
+
+    def test_defaults(self, tmp_path):
+        path = tmp_path / "pow.cfg"
+        path.write_text("mode = power\nbeta = 1, 1\nerror_law = log_normal(0, 1)\n"
+                        "zero_coefs = 1\nbeta_grid = 1,0;\n")
+        out = load_config(path)
+        assert out["config"] == SimulationConfig(
+            beta_true=(1.0, 1.0), error_law=ErrorLaw.log_normal(0.0, 1.0), n=200,
+            replications=1000, resample_size=500, estimators=("lpre", "lare", "ls", "lad"),
+            seed=0, compute_see=True)
+        assert out["beta_grid"] == [(1.0, 0.0)] and out["alphas"] == (0.05, 0.01)
+
+    @pytest.mark.parametrize("line, message", [
+        ("bogus = 1", "bogus = '1': unknown key"),
+        ("mode = powr", "mode = 'powr': must be estimation or power"),
+        ("zero_coefs = 2", "zero_coefs = '2': read only in power mode"),
+        ("alphas = 0.05", "alphas = '0.05': read only in power mode"),
+        ("error_law = log_normal(0, x)", "error_law = 'log_normal(0, x)': could not convert"),
+    ])
+    def test_bad_line_names_file_line_and_key(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"beta = 1, 1, 0\nerror_law = log_normal(0,1)\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+            load_config(path)
+
+    def test_power_mode_requires_a_grid(self, tmp_path):
+        path = tmp_path / "pow.cfg"
+        path.write_text("mode = power\nbeta = 1, 1, 0\nerror_law = log_normal(0,1)\n"
+                        "zero_coefs = 2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing required key "
+                                                       "'beta_grid'")):
             load_config(path)
