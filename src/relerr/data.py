@@ -2,7 +2,8 @@
 
 The model is y_i = exp(x_i' beta) * eps_i with strictly positive
 responses and an explicit intercept column of ones.  ``read_csv`` is the
-one reader of numeric CSV input, for the CLI and the body-fat pipeline.
+one reader of numeric CSV input, for the CLI and the body-fat pipeline,
+and ``write_csv`` the one writer of every table the package writes.
 """
 
 from __future__ import annotations
@@ -97,3 +98,11 @@ def read_csv(path, required=()) -> tuple[list, np.ndarray]:
     if not rows:
         raise RelerrError(f"{path}: no data rows")
     return header, np.array(rows).T.copy()
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file: the ``header`` row, then each row of ``rows``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

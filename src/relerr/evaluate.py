@@ -8,7 +8,6 @@ remainder with four median prediction-error metrics.
 
 from __future__ import annotations
 
-import csv as _csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import inference
 from .criteria import EXP_BOUND
-from .data import Dataset, read_csv
+from .data import Dataset, read_csv, write_csv
 from .errors import NumericOverflowError, RelerrError
 from .solver import FitResult
 
@@ -129,8 +128,11 @@ def bodyfat_pipeline(
     on the first ``TRAIN_SIZE`` rows (file order), and evaluates the
     remaining rows.  Returns (coefficient rows, metric rows) where each
     coefficient row is (method, name, estimate, see, p_value) and each
-    metric row is (method, PredictionMetrics).
+    metric row is (method, PredictionMetrics).  Every method is looked up
+    in the estimator registry before any is fitted.
     """
+    for method in methods:
+        inference.estimator(method)
     y, features = _read_bodyfat_csv(csv_path)
 
     keep = y != 0
@@ -153,13 +155,8 @@ def bodyfat_pipeline(
     coef_rows = []
     metric_rows = []
     for method in methods:
-        rng = np.random.default_rng(seed)  # one fixed stream per method
-        entry = inference.estimator(method)
-        fit = entry.fit(train)
-        cov = entry.covariance_of(fit, train, resamples, rng)
-        inference._warn_skipped(method, cov)
-        pvals = inference.wald_p_values(fit, cov)
-        sees = cov.standard_errors()
+        fit, sees, pvals = inference.fit_report(
+            method, train, resamples, np.random.default_rng(seed))  # one stream per method
         for name, est, see, p in zip(names, fit.beta, sees, pvals):
             coef_rows.append((method, name, float(est), float(see), float(p)))
         metric_rows.append(
@@ -169,17 +166,11 @@ def bodyfat_pipeline(
 
 
 def write_coefficients_csv(coef_rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(COEFFICIENTS_HEADER.split(","))
-        for method, name, est, see, p in coef_rows:
-            writer.writerow([method, name, f"{est:.6g}", f"{see:.6g}", f"{p:.6g}"])
+    write_csv(path, COEFFICIENTS_HEADER.split(","),
+              ([method, name, f"{est:.6g}", f"{see:.6g}", f"{p:.6g}"]
+               for method, name, est, see, p in coef_rows))
 
 
 def write_prediction_csv(metric_rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(PREDICTION_HEADER.split(","))
-        for method, m in metric_rows:
-            writer.writerow([method, f"{m.mpe:.6g}", f"{m.mppe:.6g}",
-                             f"{m.mape:.6g}", f"{m.mspe:.6g}"])
+    write_csv(path, PREDICTION_HEADER.split(","),
+              ([method, *(f"{v:.6g}" for v in m.as_tuple())] for method, m in metric_rows))

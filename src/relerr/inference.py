@@ -262,8 +262,11 @@ def _resample(statistic, n: int, n_resample: int, rng, what: str):
     the RelerrError its fit raised.  A resample whose fit has no
     certificate is retried once with fresh weights, drawn after the whole
     batch in resample order, then skipped; other errors are raised.  More
-    than 10% skips raise ResamplingError.  Returns (values, skipped).
+    than 10% skips raise ResamplingError, fewer than two resamples
+    ValueError.  Returns (values, skipped).
     """
+    if n_resample < 2:
+        raise ValueError("need at least two resamples")
     values = statistic(rng.standard_exponential((n_resample, n)))
     failed = [i for i, value in enumerate(values) if isinstance(value, ConvergenceError)]
     if failed:
@@ -279,12 +282,6 @@ def _resample(statistic, n: int, n_resample: int, rng, what: str):
         raise ResamplingError(
             f"{skipped}/{n_resample} resample fits failed; {what} unreliable")
     return kept, skipped
-
-
-def _warn_skipped(method: str, cov: CovarianceEstimate):
-    """One warning on the ``relerr`` logger if ``cov`` skipped resamples."""
-    if cov.n_skipped:
-        _log.warning("%s: %d random-weighting resample fit(s) skipped", method, cov.n_skipped)
 
 
 def random_weight_covariance(
@@ -306,8 +303,6 @@ def random_weight_covariance(
     criterion = _criterion(estimator)
     _require_residual_dof(data)
     solver._require_full_rank(data)  # positive weights keep the rank
-    if n_resample < 2:
-        raise ValueError("need at least two resamples")
     rng = rng if rng is not None else np.random.default_rng()
     z = np.log(data.y)
 
@@ -426,3 +421,18 @@ def estimator(name: str) -> Estimator:
         raise ValueError(
             f"unknown estimator {name!r}; expected one of {sorted(ESTIMATORS)}"
         ) from None
+
+
+def fit_report(name: str, data: Dataset, resamples: int, rng: np.random.Generator,
+               two_sided: bool = False):
+    """(fit, standard errors, Wald p-values) of registry estimator ``name``.
+
+    Random weighting draws ``resamples`` resamples from ``rng``; skipped
+    ones are logged as one warning on the ``relerr`` logger.
+    """
+    entry = estimator(name)
+    fit = entry.fit(data)
+    cov = entry.covariance_of(fit, data, resamples, rng)
+    if cov.n_skipped:
+        _log.warning("%s: %d random-weighting resample fit(s) skipped", name, cov.n_skipped)
+    return fit, cov.standard_errors(), wald_p_values(fit, cov, two_sided)

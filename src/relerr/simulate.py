@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
-import csv
 import itertools
 import logging
 from dataclasses import dataclass, replace
@@ -34,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import inference, solver
-from .data import Dataset, _check_values
+from .data import Dataset, _check_values, write_csv
 from .distributions import ErrorLaw, Sampler
 from .errors import RelerrError
 from .solver import LinearHypothesis
@@ -65,12 +64,9 @@ class SimulationConfig:
             inference._require_residual_dof(self)
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        unknown = set(self.estimators) - set(inference.ESTIMATORS)
-        if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        entries = [inference.estimator(name) for name in self.estimators]
         if self.compute_see and self.resample_size < 2 and any(
-                inference.ESTIMATORS[name].covariance == "random_weighting"
-                for name in self.estimators):
+                entry.covariance == "random_weighting" for entry in entries):
             raise ValueError(f"resample_size = {self.resample_size}: random-weighting "
                              "standard errors need at least two resamples")
 
@@ -298,13 +294,9 @@ def run_power_study(
 
 
 def write_metrics_csv(rows: Sequence[MetricsRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER.split(","))
-        for r in rows:
-            writer.writerow([r.estimator, r.coef,
-                             f"{r.bias:.6g}", f"{r.se:.6g}",
-                             f"{r.see:.6g}", f"{r.cp:.6g}"])
+    write_csv(path, METRICS_HEADER.split(","),
+              ([r.estimator, r.coef, f"{r.bias:.6g}", f"{r.se:.6g}", f"{r.see:.6g}",
+                f"{r.cp:.6g}"] for r in rows))
 
 
 def write_power_csv(rows: Sequence[PowerRow], path) -> None:
@@ -312,12 +304,9 @@ def write_power_csv(rows: Sequence[PowerRow], path) -> None:
     (shorter betas padded with empty cells), alpha and the rejection
     rate; the header is ``POWER_HEADER`` for k = 3."""
     k = max([3, *(len(r.beta) for r in rows)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"beta{j}" for j in range(k)] + ["alpha", "reject_rate"])
-        for r in rows:
-            beta = list(r.beta) + [""] * (k - len(r.beta))
-            writer.writerow([*beta, f"{r.alpha:g}", f"{r.reject_rate:.6g}"])
+    write_csv(path, [f"beta{j}" for j in range(k)] + ["alpha", "reject_rate"],
+              ([*r.beta, *[""] * (k - len(r.beta)), f"{r.alpha:g}", f"{r.reject_rate:.6g}"]
+               for r in rows))
 
 
 #: the error laws of a spec ``name(a, b)``, by name
@@ -361,6 +350,14 @@ def _comma_list(kind):
     return lambda text: tuple(kind(v) for v in text.split(","))
 
 
+def _estimator_names(text):
+    """A comma-separated list of estimator names, each checked by the registry."""
+    names = _comma_list(str.strip)(text)
+    for name in names:
+        inference.estimator(name)
+    return names
+
+
 #: each config key: its value parser, its default (None: the key is
 #: required) and whether only power mode reads it
 _KEYS = {
@@ -371,7 +368,7 @@ _KEYS = {
     "n": (int, 200, False),
     "replications": (int, 1000, False),
     "resample_size": (int, 500, False),
-    "estimators": (_comma_list(str.strip), inference.PAPER_ESTIMATORS, False),
+    "estimators": (_estimator_names, inference.PAPER_ESTIMATORS, False),
     "seed": (_checked(int, lambda seed: seed >= 0, "must be non-negative"), 0, False),
     "compute_see": (_checked(lambda text: _BOOLEANS.get(text.lower()), lambda b: b is not None,
                              "must be true/false/yes/no/1/0"), True, False),
@@ -385,7 +382,8 @@ _KEYS = {
 def load_config(path) -> dict:
     """Read a key=value simulation config file with the keys of ``_KEYS`` into "mode",
     "config" (a SimulationConfig) and, in power mode, "zero_coefs", "beta_grid" and
-    "alphas".  A bad line raises ValueError("<path>:<line>: <key> = '<value>': <reason>")."""
+    "alphas".  A bad line raises ValueError("<path>:<line>: <key> = '<value>': <reason>"),
+    and a value the SimulationConfig rejects its error with "<path>: " in front."""
     def fail(key, reason):
         raise ValueError(f"{path}:{lines[key][0]}: {key} = {lines[key][1]!r}: {reason}") from None
 
@@ -414,4 +412,8 @@ def load_config(path) -> dict:
                 raise ValueError(f"{path}: missing required key {key!r}")
             values[key] = default
     fields = {key: values.pop(key) for key in list(values) if key != "mode" and not _KEYS[key][2]}
-    return {**values, "config": SimulationConfig(beta_true=fields.pop("beta"), **fields)}
+    try:
+        config = SimulationConfig(beta_true=fields.pop("beta"), **fields)
+    except (RelerrError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return {**values, "config": config}

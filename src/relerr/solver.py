@@ -98,6 +98,10 @@ class LinearHypothesis:
             raise ValueError("H must be a matrix")
         object.__setattr__(self, "h", h)
         p, q = h.shape
+        if q == 0:
+            raise ValueError("the hypothesis has no constraints (H has no columns)")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("H must be finite (no NaN or infinity)")
         if q > p:
             raise ValueError("more constraints than parameters")
         if np.linalg.matrix_rank(h) < q:

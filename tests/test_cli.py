@@ -189,6 +189,23 @@ class TestTest:
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert "does not match the design" in r.output
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--zero-coefs", ",", "the hypothesis has no constraints"),
+        ("--hypothesis-file", "0\n1\nnan\n", "H must be finite"),
+        ("--hypothesis-file", "0\ninf\n1\n", "H must be finite"),
+    ], ids=["no_constraint", "nan", "inf"])
+    def test_empty_or_non_finite_hypothesis_exits_1(self, runner, tmp_path, data_csv,
+                                                     option, value, message):
+        path, *_ = data_csv
+        if option == "--hypothesis-file":
+            (tmp_path / "h.csv").write_text(value)
+            value = str(tmp_path / "h.csv")
+        r = runner.invoke(main, ["test", "--input", str(path), "--response", "y",
+                                 option, value])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith(f"error: {message}")
+        assert "p_value" not in r.output
+
     def test_requires_exactly_one_hypothesis_source(self, runner, data_csv):
         path, *_ = data_csv
         r = runner.invoke(main, [
@@ -269,7 +286,10 @@ class TestSimulate:
         r = runner.invoke(main, [
             "simulate", "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
         assert r.exit_code == 1
-        assert r.output.startswith("error: inference needs more observations than "
+        # the config file rejects n <= p for its standard errors; the power
+        # study, which needs it whatever compute_see says, rejects it itself
+        where = f"{cfg}: " if mode == "estimation" else ""
+        assert r.output.startswith(f"error: {where}inference needs more observations than "
                                    "coefficients (n = 3, p = 3)")
         assert "Traceback" not in r.output
 
@@ -380,6 +400,16 @@ class TestPredict:
             for key in ("mpe", "mppe", "mape", "mspe"):
                 assert float(row[key]) >= 0
 
+    def test_any_registry_criterion(self, runner, tmp_path, data_csv):
+        path, *_ = data_csv
+        out = tmp_path / "pred.csv"
+        r = runner.invoke(main, [
+            "predict", "--input", str(path), "--split", "80", "--response", "y",
+            "--criterion", "gre:max", "--output", str(out)])
+        assert r.exit_code == 0, r.output
+        [row] = list(csv.DictReader(open(out)))
+        assert row["method"] == "gre:max" and float(row["mape"]) > 0
+
     def test_train_test_mode_matches_split(self, runner, tmp_path, data_csv):
         path, x1, x2, y = data_csv
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
@@ -434,3 +464,38 @@ class TestPredict:
             "predict", "--input", str(path), "--split", "0",
             "--response", "y", "--output", str(tmp_path / "o.csv")])
         assert r.exit_code == 1
+
+
+SMALL_CONFIG = ("beta = 1, 0.5\nerror_law = log_normal(0, 0.5)\nn = 20\nreplications = 2\n"
+                "estimators = lpre\ncompute_see = false\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--input", "{absent}", "--response", "y", "--output", "{out}"],
+    ["fit", "--input", "{data}", "--response", "y", "--output", "{no_dir}"],
+    ["test", "--input", "{absent}", "--response", "y", "--zero-coefs", "1"],
+    ["test", "--input", "{data}", "--response", "y", "--hypothesis-file", "{absent}"],
+    ["simulate", "--config", "{absent}", "--output", "{out}"],
+    ["simulate", "--config", "{cfg}", "--output", "{no_dir}"],
+    ["predict", "--input", "{absent}", "--split", "80", "--response", "y",
+     "--output", "{out}"],
+    ["predict", "--train", "{absent}", "--test", "{data}", "--response", "y",
+     "--output", "{out}"],
+    ["predict", "--train", "{data}", "--test", "{absent}", "--response", "y",
+     "--output", "{out}"],
+    ["predict", "--input", "{data}", "--split", "80", "--response", "y",
+     "--output", "{no_dir}"],
+    ["predict", "--bodyfat", "--input", "{absent}", "--output", "{out}"],
+], ids=["fit_input", "fit_output", "test_input", "test_hypothesis_file",
+        "simulate_config", "simulate_output", "predict_input", "predict_train",
+        "predict_test", "predict_output", "predict_bodyfat_input"])
+def test_io_failure_exits_2(runner, tmp_path, data_csv, args):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    paths = {"absent": tmp_path / "absent.csv", "out": tmp_path / "out.csv",
+             "no_dir": tmp_path / "no_dir" / "out.csv", "data": data_csv[0], "cfg": cfg}
+    r = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+    [line] = r.output.splitlines()
+    bad = "absent" if "{absent}" in args else "no_dir"
+    assert line.startswith("error: ") and str(paths[bad]) in line

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relerr import solver
 from relerr.data import Dataset
 from relerr.errors import NumericOverflowError, RelerrError
 from relerr.evaluate import (
@@ -146,6 +147,12 @@ class TestBodyfatPipeline:
             assert all(v >= 0 for v in metrics.as_tuple())
         for _, _, est, see, p in coef_rows:
             assert see > 0 and 0.0 <= p <= 1.0
+
+    def test_unknown_method_rejected_before_any_fit(self, tmp_path, monkeypatch):
+        path = _write_fake_bodyfat(tmp_path / "bodyfat.csv")
+        monkeypatch.setattr(solver, "fit_gre", None)  # any fit would fail
+        with pytest.raises(ValueError, match="unknown estimator 'ridge'"):
+            bodyfat_pipeline(path, methods=("lpre", "ridge"))
 
     def test_deterministic(self, tmp_path):
         path = _write_fake_bodyfat(tmp_path / "bodyfat.csv")

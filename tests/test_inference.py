@@ -259,6 +259,13 @@ class TestGreAnova:
         assert res.statistic == pytest.approx(ref.statistic, abs=1e-10)
         assert abs(res.p_value - ref.p_value) < 0.12
 
+    @pytest.mark.parametrize("n_resample", [0, 1])
+    def test_rejects_tiny_resample_count(self, n_resample):
+        data, _ = big_dataset(9, n=60, beta=(1.0, 0.5, 0.0))
+        with pytest.raises(ValueError, match="need at least two resamples"):
+            gre_anova_test(SUM, data, LinearHypothesis.zero_coefs([2], 3),
+                           n_resample=n_resample, rng=np.random.default_rng(2))
+
     def test_sum_criterion_false_null_rejected(self):
         data, _ = big_dataset(9, n=250, beta=(1.0, 0.5, -0.8))
         hyp = LinearHypothesis.zero_coefs([2], 3)

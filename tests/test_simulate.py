@@ -445,11 +445,24 @@ class TestParsing:
         ("zero_coefs = 2", "zero_coefs = '2': read only in power mode"),
         ("alphas = 0.05", "alphas = '0.05': read only in power mode"),
         ("error_law = log_normal(0, x)", "error_law = 'log_normal(0, x)': could not convert"),
+        ("estimators = lpre, ridge", "estimators = 'lpre, ridge': unknown estimator 'ridge'; "
+                                     "expected one of ['gre:asym'"),
     ])
     def test_bad_line_names_file_line_and_key(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
         path.write_text(f"beta = 1, 1, 0\nerror_law = log_normal(0,1)\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+            load_config(path)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("n = 3", "inference needs more observations than coefficients (n = 3, p = 3)"),
+        ("resample_size = 1\nestimators = lpre, lad",
+         "resample_size = 1: random-weighting standard errors need at least two resamples"),
+    ], ids=["no_residual_dof", "one_resample"])
+    def test_config_error_names_the_file(self, tmp_path, lines, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"beta = 1, 1, 0\nerror_law = log_normal(0,1)\n{lines}\n")
+        with pytest.raises((RelerrError, ValueError), match=re.escape(f"{path}: {message}")):
             load_config(path)
 
     def test_power_mode_requires_a_grid(self, tmp_path):
