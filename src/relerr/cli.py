@@ -45,12 +45,29 @@ def _read_csv_dataset(path: str, response: str,
             ["intercept"] + [header[j] for j in keep])
 
 
+def _indices(ctx, param, text):
+    """--zero-coefs: comma-separated integers, or a usage error."""
+    if text is None:
+        return None
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a comma-separated list of integers") from None
+
+
+def _distinct(ctx, param, values):
+    """A repeatable option's values, or a usage error if one is repeated."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise click.BadParameter(f"{value!r} is given twice")
+    return values
+
+
 def _parse_hypothesis(zero_coefs, hypothesis_file, p):
     if (zero_coefs is None) == (hypothesis_file is None):
         raise RelerrError("give exactly one of --zero-coefs or --hypothesis-file")
     if zero_coefs is not None:
-        indices = [int(t) for t in zero_coefs.split(",") if t.strip()]
-        return LinearHypothesis.zero_coefs(indices, p)
+        return LinearHypothesis.zero_coefs(zero_coefs, p)
     return LinearHypothesis(np.loadtxt(hypothesis_file, delimiter=",", ndmin=2))
 
 
@@ -65,7 +82,7 @@ def main():
 @click.option("--criterion", default="lpre", type=click.Choice(CRITERION_CHOICES))
 @click.option("--output", required=True, help="coefficient table CSV to write")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--resamples", default=500, show_default=True, type=int,
+@click.option("--resamples", default=500, show_default=True, type=click.IntRange(min=2),
               help="random-weighting resamples for nonsmooth criteria")
 @click.option("--pvalue", "pvalue_kind", default="one-sided", show_default=True,
               type=click.Choice(["one-sided", "two-sided"]))
@@ -84,7 +101,7 @@ def cmd_fit(input_path, response, criterion, output, seed, resamples, pvalue_kin
 @main.command("test")
 @click.option("--input", "input_path", required=True, help="data CSV")
 @click.option("--response", required=True)
-@click.option("--zero-coefs", default=None,
+@click.option("--zero-coefs", default=None, callback=_indices,
               help="comma-separated coefficient indices tested jointly zero "
                    "(0 = intercept)")
 @click.option("--hypothesis-file", default=None,
@@ -139,7 +156,7 @@ def cmd_simulate(config_path, output, seed, threads, replications):
 @click.option("--split", default=None, type=int,
               help="training block size when using --input")
 @click.option("--response", default=None, help="response column name")
-@click.option("--criterion", "methods", multiple=True,
+@click.option("--criterion", "methods", multiple=True, callback=_distinct,
               type=click.Choice(CRITERION_CHOICES),
               help="methods to evaluate (default: the paper's four)")
 @click.option("--bodyfat", is_flag=True,
@@ -147,11 +164,13 @@ def cmd_simulate(config_path, output, seed, threads, replications):
 @click.option("--output", required=True,
               help="metrics CSV; with --bodyfat, a directory for both tables")
 @click.option("--seed", default=20130501, show_default=True, type=int)
-@click.option("--resamples", default=500, show_default=True, type=int)
+@click.option("--resamples", default=500, show_default=True, type=click.IntRange(min=2))
 def cmd_predict(train_path, test_path, input_path, split, response, methods,
                 bodyfat, output, seed, resamples):
     """Evaluate out-of-sample prediction with the four median error metrics."""
     methods = tuple(methods) or inference.PAPER_ESTIMATORS
+    if input_path is not None and (train_path is not None or test_path is not None):
+        raise RelerrError("give --input or --train/--test, not both")
     if bodyfat:
         if input_path is None:
             raise RelerrError("--bodyfat requires --input")

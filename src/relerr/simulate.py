@@ -258,6 +258,16 @@ def _check_levels(alphas):
     return alphas
 
 
+def _check_grid(beta_grid, p):
+    """ValueError unless ``beta_grid`` has a point and each has p coefficients."""
+    if len(beta_grid) == 0:
+        raise ValueError("beta_grid has no points")
+    for beta in beta_grid:
+        if len(beta) != p:
+            raise ValueError(f"beta_grid point {tuple(beta)} has {len(beta)} coefficients, "
+                             f"beta has {p}")
+
+
 def run_power_study(
     config: SimulationConfig,
     hypothesis_coefs: Sequence[int],
@@ -273,12 +283,7 @@ def run_power_study(
     level must lie in (0, 1); all are checked before any replication runs.
     """
     inference._require_residual_dof(config)
-    if len(beta_grid) == 0:
-        raise ValueError("beta_grid has no points")
-    for beta in beta_grid:
-        if len(beta) != config.p:
-            raise ValueError(f"beta_grid point {tuple(beta)} has {len(beta)} coefficients, "
-                             f"beta has {config.p}")
+    _check_grid(beta_grid, config.p)
     _check_levels(alpha_levels)
     rows = []
     hypothesis = LinearHypothesis.zero_coefs(hypothesis_coefs, config.p)
@@ -351,10 +356,12 @@ def _comma_list(kind):
 
 
 def _estimator_names(text):
-    """A comma-separated list of estimator names, each checked by the registry."""
+    """A comma-separated list of distinct estimator names, each checked by the registry."""
     names = _comma_list(str.strip)(text)
-    for name in names:
+    for i, name in enumerate(names):
         inference.estimator(name)
+        if name in names[:i]:
+            raise ValueError(f"estimator {name!r} is listed twice")
     return names
 
 
@@ -383,7 +390,8 @@ def load_config(path) -> dict:
     """Read a key=value simulation config file with the keys of ``_KEYS`` into "mode",
     "config" (a SimulationConfig) and, in power mode, "zero_coefs", "beta_grid" and
     "alphas".  A bad line raises ValueError("<path>:<line>: <key> = '<value>': <reason>"),
-    and a value the SimulationConfig rejects its error with "<path>: " in front."""
+    and a value the SimulationConfig rejects its error with "<path>: " in front.  In power
+    mode the grid and n pass the power study's own checks here, before any fit."""
     def fail(key, reason):
         raise ValueError(f"{path}:{lines[key][0]}: {key} = {lines[key][1]!r}: {reason}") from None
 
@@ -414,6 +422,13 @@ def load_config(path) -> dict:
     fields = {key: values.pop(key) for key in list(values) if key != "mode" and not _KEYS[key][2]}
     try:
         config = SimulationConfig(beta_true=fields.pop("beta"), **fields)
+        if mode == "power":  # whatever compute_see says
+            inference._require_residual_dof(config)
     except (RelerrError, ValueError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    if mode == "power":
+        try:
+            _check_grid(values["beta_grid"], config.p)
+        except ValueError as exc:
+            fail("beta_grid", exc)
     return {**values, "config": config}

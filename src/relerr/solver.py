@@ -3,17 +3,16 @@
 Damped Newton with Armijo backtracking minimizes sum_i w_i rho(r_i) over
 the log residuals r = log y - x'beta, for any row rho = kink * |r| +
 sigma(r) of ``criteria``.  Without a kink this is plain Newton on a
-smooth convex function.  With one, |r| is replaced by the convex
-smoothing sqrt(r^2 + eps^2) - eps, and eps follows ``EPS_SCHEDULE``
-from 1e-1 down to 1e-10, each stage starting where the last one ended
-and taking at most ``MAX_ITERATIONS`` Newton steps -- but
-only until the residuals at the kink are known, as in the finite
-smoothing algorithm of Madsen & Nielsen (1993, SIAM J. Optim.).  After a
-stage, the residuals near the kink form a set S; if |S| <= p, an
-active-set finish (``_Batch.finish``) solves the unsmoothed problem
-exactly on the face {beta : r_S(beta) = 0}.  A finish that certifies
-ends the fit; otherwise the next stage goes on from the smoothed point,
-and after the last stage the finish is tried whatever |S| is.
+smooth convex function.  With one, the same Newton loop runs through the
+stages of the finite smoothing algorithm of Madsen & Nielsen (1993, SIAM
+J. Optim.).  A smoothing stage replaces |r| by sqrt(r^2 + eps^2) - eps,
+eps following ``EPS_SCHEDULE`` from 1e-1 down to 1e-10, and takes at most
+``MAX_ITERATIONS`` Newton steps -- but only until the residuals at the
+kink, a set S, are known.  If |S| <= p (after the last stage, whatever S
+is), the face {beta : r_S = 0} follows as a stage of its own, in which
+every other residual holds its side of the kink (see ``_minimize``).  A
+face that certifies ends the fit; otherwise the next smoothing stage goes
+on from where the last one ended, and after the last the face's point stands.
 
 A fit is returned only with an optimality certificate no larger than
 ``TOL_GRADIENT`` -- or, where the gradient's terms are so
@@ -22,7 +21,7 @@ units of their summed magnitudes.  It is reported as
 ``FitResult.gradient_norm``:
 
 * without a kink, the norm of the gradient;
-* with a kink, the exact KKT residual of the finish: the norm of the
+* with a kink, the exact KKT residual on the face: the norm of the
   subgradient of the unsmoothed criterion, with every residual off S at
   its sign and the multipliers of S, which are 0 to rounding, chosen in
   [-1, 1] by least squares.
@@ -61,7 +60,7 @@ EPS_SCHEDULE = tuple(10.0 ** -k for k in range(1, 11))
 ARMIJO_C = 1e-4
 #: the bound on a fit's optimality certificate (see the module docstring)
 TOL_GRADIENT = 1e-10
-#: the Newton steps of each smoothing stage and of each face of the finish
+#: the Newton steps of each smoothing stage and of each face, and the faces of a finish
 MAX_ITERATIONS = 100
 # When a smoothing stage of width eps ends, the residuals within
 # _FACE_WIDTH * eps of 0 are taken to be at the kink.  At the smoothed
@@ -214,18 +213,16 @@ def _batch_size(n: int, p: int) -> int:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """u with a u = b for each row of a stack; least squares for a row
-    whose a is not positive definite."""
+    """u with a u = b for each row of a stack; least squares for the stack
+    if a row's a is not positive definite."""
     try:
         np.linalg.cholesky(a)
         return np.linalg.solve(a, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        if len(a) > 1:
-            return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
         # curvature spread over more decades than double precision holds,
         # as where one residual's sinh or exp dwarfs the rest; solve within
         # the directions that have it
-        return np.linalg.lstsq(a[0], b[0], rcond=None)[0][None]
+        return _least_squares(a, b, np.full(len(a), a.shape[-1]))[0]
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -237,223 +234,180 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v * v).sum(axis=1))
 
 
+def _least_squares(a, b, terms):
+    """(u, V, kept): the least-squares u of smallest norm with a u = b for each
+    row of a stack, the singular values cut as np.linalg.lstsq cuts them for
+    ``terms`` (k,) equations or unknowns; V of a's SVD, and its kept columns."""
+    left, sv, vt = np.linalg.svd(a, full_matrices=False)
+    kept = sv > sv[:, :1] * (terms * np.finfo(float).eps)[:, None]
+    v = np.swapaxes(vt, 1, 2)
+    return _matvec(v, _matvec(np.swapaxes(left, 1, 2), b) / np.where(kept, sv, np.inf)), v, kept
+
+
 class _Batch:
     """B problems of one shape: sum_i w_bi rho(z_bi - x_bi'beta_b), and its
-    smoothed versions.
+    smoothed and face versions.
 
     ``x`` is (B, n, p), or (n, p) for problems that share one design;
-    ``z`` and ``w`` are (B, n).  Methods evaluate every problem, or those
-    whose indices are ``rows``, at their beta (k, p) and smoothing width
-    eps (k,).  Overflow gives inf or NaN; callers run under
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    ``z`` and ``w`` are (B, n).  Methods evaluate every problem at its beta
+    (k, p) and smoothing width eps (k,), or where ``face`` is set on its face:
+    ``side`` holds each residual's side of the kink, 0 on S (NaN off a face),
+    and ``basis`` a basis of the face padded with zero columns.  Overflow gives
+    inf or NaN; callers run under ``np.errstate(over="ignore", invalid="ignore")``.
     """
 
-    def __init__(self, criterion: GreCriterion, x, z, w):
+    def __init__(self, criterion: GreCriterion, x, z, w, side=None, basis=None):
         self.criterion = criterion
         self.kink = criterion.kink
         self.sigma = criterion.sigma
         self.x, self.z, self.w = x, z, w
+        self.side = np.full(z.shape, np.nan) if side is None else side  # no face yet
+        self.basis = np.zeros((len(z), x.shape[-1], x.shape[-1])) if basis is None else basis
+        self.faces_changed()
+
+    def faces_changed(self):
+        self.face = ~np.isnan(self.side[:, 0])
+        self.on_face = bool(self.face.any())
 
     def subset(self, rows) -> "_Batch":
-        return _Batch(self.criterion, *self._data(rows))
+        return _Batch(self.criterion, self.x if self.x.ndim == 2 else self.x[rows],
+                      self.z[rows], self.w[rows], self.side[rows], self.basis[rows])
 
-    def _data(self, rows):
-        if rows is None:
-            return self.x, self.z, self.w
-        return (self.x if self.x.ndim == 2 else self.x[rows]), self.z[rows], self.w[rows]
+    def _residuals(self, beta):
+        return self.z - _matvec(self.x, beta)
 
-    def _residuals(self, rows, beta):
-        x, z, w = self._data(rows)
-        return x, z - _matvec(x, beta), w
+    def _kink(self, r, eps, derivatives=True):
+        """|r|, and with ``derivatives`` its first two derivatives: smoothed
+        to sqrt(r^2 + eps^2) - eps, or held at side * r on a face."""
+        e = eps[:, None]
+        q = np.sqrt(r * r + e * e)
+        terms = (q - e, r / q, e * e / q**3) if derivatives else (q - e,)
+        if self.on_face:
+            side = self.side[self.face]
+            for term, held in zip(terms, (side * r[self.face], side, 0.0)):
+                term[self.face] = held
+        return terms
 
-    def value(self, beta, eps, rows=None) -> np.ndarray:
-        """Smoothed criterion of each row."""
-        _, r, w = self._residuals(rows, beta)
+    def value(self, beta, eps) -> np.ndarray:
+        """Smoothed or face criterion of each row."""
+        r = self._residuals(beta)
         value = self.sigma(r, derivatives=False)
         if self.kink:
-            e = eps[:, None]
-            value = value + self.kink * (np.sqrt(r * r + e * e) - e)
-        return (w * value).sum(axis=1)
+            value = value + self.kink * self._kink(r, eps, derivatives=False)[0]
+        return (self.w * value).sum(axis=1)
 
-    def _derivatives(self, beta, eps, rows=None):
-        x, r, w = self._residuals(rows, beta)
-        xt = np.swapaxes(x, -1, -2)
-        value, slope, d2 = self.sigma(r)
-        d1 = slope
+    def _derivatives(self, beta, eps):
+        r = self._residuals(beta)
+        value, d1, d2 = self.sigma(r)
         if self.kink:
-            e = eps[:, None]
-            q = np.sqrt(r * r + e * e)
-            value = value + self.kink * (q - e)
-            d1 = d1 + self.kink * (r / q)
-            d2 = d2 + self.kink * (e * e / q**3)
-        grad = -_matvec(xt, w * d1)
-        return (w * value).sum(axis=1), grad, (x, xt, r, w, slope, d2)
-
-    def gradient_norm(self, beta, eps, rows=None) -> np.ndarray:
-        return _norm(self._derivatives(beta, eps, rows)[1])
+            k0, k1, k2 = self._kink(r, eps)
+            value, d1, d2 = value + self.kink * k0, d1 + self.kink * k1, d2 + self.kink * k2
+        grad = -_matvec(np.swapaxes(self.x, -1, -2), self.w * d1)
+        if self.on_face:  # within each face: the coordinates g of beta + basis @ g
+            grad[self.face] = _matvec(np.swapaxes(self.basis[self.face], 1, 2), grad[self.face])
+        return (self.w * value).sum(axis=1), grad, r, d2
 
     def parts(self, beta, eps):
-        """(value, gradient, Hessian) of every row's stage at its beta; inf
-        or NaN where they overflow."""
-        value, grad, (x, xt, r, w, slope, d2) = self._derivatives(beta, eps)
-        return value, grad, xt @ (x * (w * d2)[:, :, None])
+        """(value, gradient, Hessian, residuals) of every row's stage at its
+        beta, a face row's gradient within its face; inf or NaN on overflow."""
+        value, grad, r, d2 = self._derivatives(beta, eps)
+        x = self.x
+        return value, grad, np.swapaxes(x, -1, -2) @ (x * (self.w * d2)[:, :, None]), r
 
-    def finish(self, row, beta, eps, last):
-        """The unsmoothed fit of problem ``row`` by an active set, from the
-        end of its smoothing stage of width eps at beta: (beta, certificate,
-        Newton steps), or None where it is not tried.
+    def _gather(self, on, m):
+        """(x, at, used): the design rows of each row's residuals in ``on``
+        (k, n), moved to the front of m rows padded with zeros, which an SVD's
+        rank cut drops; ``at`` indexes the m in (k, n), ``used`` marks ``on``."""
+        at = (np.arange(len(on))[:, None], np.argsort(~on, axis=1, kind="stable")[:, :m])
+        used = on[at]
+        return (self.x[at[1]] if self.x.ndim == 2 else self.x[at]) * used[:, :, None], at, used
 
-        S, the residuals within ``_FACE_WIDTH`` widths of the kink, is
-        taken to be at the kink if |S| <= p (any S in the last stage).
-        beta is projected onto the face {r_S = 0} by least squares, and
-        Newton steps within the face minimize the criterion there, each
-        residual off S on its side of the kink; one that a step takes to
-        the kink joins S.  The multipliers of S come by least squares;
-        while one leaves [-1, 1], its residual leaves S for the side the
-        multiplier points to, and the face is solved again.  The
-        certificate is the exact KKT residual at the returned beta.
-        """
-        x = self.x if self.x.ndim == 2 else self.x[row]
-        z, w = self.z[row], self.w[row]
-        r = z - x @ beta
-        at = np.abs(r) <= _FACE_WIDTH * eps
-        if at.sum() > x.shape[1] and not last:
-            return None
-        side = np.sign(r)
-        steps = 0
-        for _ in range(MAX_ITERATIONS):
-            xs = x[at]
-            # the least-squares projection onto the face, and a basis of it
-            left, sv, vt = np.linalg.svd(xs, full_matrices=len(xs) < len(beta))
-            rank = np.sum(sv > sv[:1] * max(xs.shape) * np.finfo(float).eps)
-            beta = beta + vt[:rank].T @ (left[:, :rank].T @ (z[at] - xs @ beta) / sv[:rank])
-            beta, taken, hit = self._face_newton(x, z, w, beta, at, side, vt[rank:].T)
-            steps += taken
-            if hit is not None:
-                at[hit] = True
-                continue
-            sub, on = self._subgradient(x, z, w, beta, at, side)
-            a = self.kink * (x[on] * w[on, None]).T
-            u = np.linalg.lstsq(a, sub, rcond=None)[0]
-            if np.all(np.abs(u) <= 1.0):
-                return beta, float(np.linalg.norm(sub - a @ u)), steps
-            worst = np.argmax(np.abs(u))
-            leaving = np.flatnonzero(on)[worst]
-            at[leaving], side[leaving] = False, np.sign(u[worst])
-        return beta, np.inf, steps
+    def project(self, beta):
+        """Each row's beta moved onto its face {r_S = 0} by least squares,
+        and its basis of the face, padded with zero columns to p: one
+        stacked SVD of the design rows of S."""
+        on, p = self.side == 0.0, beta.shape[1]
+        size = on.sum(axis=1)
+        xs, at, used = self._gather(on, max(p, size.max()))
+        move, v, kept = _least_squares(xs, self._residuals(beta)[at] * used, np.maximum(size, p))
+        return beta + move, v * ~kept[:, None, :]
 
-    def _subgradient(self, x, z, w, beta, at, side):
-        """The subgradient at beta without the terms of the residuals at
-        the kink, and which those are: the residuals of S that are 0 to
-        rounding.  A residual off S that is 0 to rounding is on its
-        ``side``."""
-        r = z - x @ beta
-        zero = np.abs(r) <= 1e3 * np.finfo(float).eps * (np.abs(z) + np.abs(x) @ np.abs(beta))
-        on = at & zero
+    def multipliers(self, beta):
+        """For rows on a face: the exact KKT residual at beta, and the multipliers
+        (least squares) of the residuals of S that are 0 to rounding, with their
+        indices.  The subgradient holds every other residual at its sign, or at
+        its side where it is 0 to rounding."""
+        x, w, side, r = self.x, self.w, self.side, self._residuals(beta)
+        zero = np.abs(r) <= 1e3 * np.finfo(float).eps * (
+            np.abs(self.z) + _matvec(np.abs(x), np.abs(beta)))
         sign = np.where(zero, side, np.sign(r))
-        sign[on] = 0.0
-        return -(x.T @ (w * (self.sigma(r)[1] + self.kink * sign))), on
+        sub = -_matvec(np.swapaxes(x, -1, -2), w * (self.sigma(r)[1] + self.kink * sign))
+        on = zero & (side == 0.0)
+        size = on.sum(axis=1)
+        xs, at, _ = self._gather(on, max(1, size.max()))
+        a = self.kink * np.swapaxes(xs * w[at][:, :, None], 1, 2)
+        u = _least_squares(a, sub, np.maximum(size, beta.shape[1]))[0]
+        return _norm(sub - _matvec(a, u)), u, at[1]
 
-    def _face_newton(self, x, z, w, beta, at, side, basis):
-        """Damped Newton on beta + basis @ g for the unsmoothed criterion,
-        each residual off S on its side of the kink: (beta, steps, hit),
-        with ``hit`` the residual the last step took to the kink, or None.
-        Where the face is flat, as for LAD, a step goes down the gradient
-        to the nearest kink."""
-        def face(beta):
-            sub, _ = self._subgradient(x, z, w, beta, at, side)
-            return np.sum(w * self.criterion.rho(z - x @ beta)), basis.T @ sub
-
-        if not basis.shape[1]:
-            return beta, 0, None
-        xb = x @ basis
-        value, grad = face(beta)
-        for steps in range(MAX_ITERATIONS):
-            if np.linalg.norm(grad) <= 1e-2 * TOL_GRADIENT:
-                return beta, steps, None
-            r = z - x @ beta
-            move = _solve((xb.T @ (xb * (w * self.sigma(r)[2])[:, None]))[None], -grad[None])[0]
-            flat = not move.any()
-            if flat:
-                move = -grad
-            step = basis @ move
-            rate = xb @ move  # r falls by t * rate
-            ahead = ~at & (side * rate > 0)
-            reach = np.where(ahead, r / np.where(ahead, rate, 1.0), np.inf)
-            hit = int(np.argmin(reach))
-            if reach[hit] <= 0.0:  # at the kink already
-                return beta, steps, hit
-            if flat:  # linear up to the nearest kink
-                if reach[hit] == np.inf:
-                    return beta, steps, None
-                return beta + reach[hit] * step, steps + 1, hit
-            slope = grad @ move
-            # Below the rounding noise of the value, as in _line_search, the
-            # full step must shrink the gradient instead.
-            noisy = abs(slope) <= 1e-10 * (1.0 + abs(value))
-            t = min(1.0, reach[hit])
-            for _ in range(1 if noisy else 40):
-                new_value, new_grad = face(beta + t * step)
-                if (np.linalg.norm(new_grad) < np.linalg.norm(grad) if noisy
-                        else new_value <= value + ARMIJO_C * t * slope):
-                    break
-                t *= 0.5
-            else:
-                return beta, steps, None
-            if t == reach[hit]:
-                return beta + t * step, steps + 1, hit
-            beta, value, grad = beta + t * step, new_value, new_grad
-        return beta, MAX_ITERATIONS, None
-
-    def rounding_floor(self, beta, rows) -> np.ndarray:
-        """The certificate that rounding alone can leave at beta: 1000
-        rounding units of the summed magnitudes of the gradient's terms."""
-        x, r, w = self._residuals(rows, beta)
-        size = _matvec(np.abs(np.swapaxes(x, -1, -2)),
-                       w * (np.abs(self.sigma(r)[1]) + self.kink))
-        return 1e3 * np.finfo(float).eps * _norm(size)
+    def certified(self, beta, cert) -> np.ndarray:
+        """Whether each row's certificate is within ``TOL_GRADIENT``, or
+        within what rounding alone can leave at beta: 1000 rounding units of
+        the summed magnitudes of the gradient's terms."""
+        ok = cert <= TOL_GRADIENT
+        loose = np.flatnonzero(~ok)
+        if loose.size:
+            rows = self.subset(loose)
+            size = _matvec(np.abs(np.swapaxes(rows.x, -1, -2)), rows.w * (
+                np.abs(self.sigma(rows._residuals(beta[loose]))[1]) + self.kink))
+            ok[loose] = cert[loose] <= 1e3 * np.finfo(float).eps * _norm(size)
+        return ok
 
 
-def _line_search(batch: _Batch, search, beta, value, grad, step, slope, eps):
-    """Armijo backtracking along each row's step, t = 1, 1/2, ... (80
-    tries), for the rows of ``batch`` where ``search`` is set.  Returns
-    every row's beta, moved to the accepted points, and which rows found
-    none."""
+def _line_search(batch: _Batch, search, beta, value, grad, step, slope, eps, cap):
+    """Armijo backtracking along each row's step, t = t0, t0/2, ... (80
+    tries) from t0 = min(1, cap), for the rows of ``batch`` where
+    ``search`` is set.  Returns every row's beta, moved to the accepted
+    points, and the t accepted for each row, NaN where none was."""
     # Below the rounding noise of the value the Armijo test is
     # meaningless, so such a row backtracks on the gradient norm instead.
     noisy = np.abs(slope) <= 1e-10 * (1.0 + np.abs(value))
     merit = _norm(grad)
-    beta, left = beta.copy(), search.copy()
-    t = 1.0
+    beta, t, accepted_t = beta.copy(), np.minimum(1.0, cap), np.full(len(beta), np.nan)
+    # the rows still searching (a slice while that is every row), and their batch
+    rows, trying = (slice(None), batch) if search.all() else (
+        np.flatnonzero(search), batch.subset(np.flatnonzero(search)))
     for _ in range(80):
-        if not left.any():
-            break
-        rows = None if left.all() else np.flatnonzero(left)  # None: every row
-        at = slice(None) if rows is None else rows
-        cand = beta[at] + t * step[at]
-        by_norm = noisy[at]
+        cand = beta[rows] + t[rows, None] * step[rows]
+        by_norm = noisy[rows]
         if by_norm.any():
-            ok = batch.gradient_norm(cand, eps[at], rows) < merit[at]
+            ok = _norm(trying._derivatives(cand, eps[rows])[1]) < merit[rows]
         if not by_norm.all():
-            armijo = batch.value(cand, eps[at], rows) <= value[at] + ARMIJO_C * t * slope[at]
+            armijo = trying.value(cand, eps[rows]) <= value[rows] + ARMIJO_C * t[rows] * slope[rows]
             ok = np.where(by_norm, ok, armijo) if by_norm.any() else armijo
-        accepted = np.flatnonzero(left)[ok] if rows is None else rows[ok]
-        beta[accepted] = cand[ok]
-        left[accepted] = False
-        t *= 0.5
-    return beta, left
+        if ok.all():
+            beta[rows], accepted_t[rows] = cand, t[rows]
+            break
+        if ok.any():
+            rows = np.arange(len(beta))[rows]
+            beta[rows[ok]], accepted_t[rows[ok]] = cand[ok], t[rows[ok]]
+            rows, trying = rows[~ok], trying.subset(np.flatnonzero(~ok))
+        t = t * 0.5
+    return beta, accepted_t
 
 
 def _minimize(batch: _Batch, beta: np.ndarray):
-    """Damped Newton through the smoothing stages, for every row at once.
+    """Damped Newton through the stages, for every row at once.
 
-    Each row keeps its own stage, step count and line search, and is
-    frozen once it is done.  A stage takes at most ``MAX_ITERATIONS``
-    steps.  A smoothing stage ends once its Newton decrement is below its
-    own width eps, or when the line search fails; then the row tries
-    ``_Batch.finish``, and is done if that certifies it.  Otherwise it goes
-    on to the next stage from where the stage ended, and after the last
-    one keeps what the finish gave.
+    Each row keeps its own stage, step count and line search, and is frozen
+    once it is done.  A smoothing stage ends once its Newton decrement is
+    below its width eps, after ``MAX_ITERATIONS`` steps, or when the line
+    search fails.  On a face a row is projected by least squares and takes up
+    to ``MAX_ITERATIONS`` Newton steps within it, each stopping where the
+    nearest residual ahead reaches the kink, which joins S; on a flat face,
+    as for LAD, the step runs down the gradient to that kink, as a simplex
+    pivot does.  Then the multipliers of S come by least squares: a row with
+    one outside [-1, 1] drops it and stays on the face, and otherwise the KKT
+    residual is its certificate.  A row needing over ``MAX_ITERATIONS`` faces fails.
 
     Returns (beta, value, iterations, certificate, overflow) per row, where
     ``overflow`` marks the rows whose criterion overflowed at the start of
@@ -467,51 +421,99 @@ def _minimize(batch: _Batch, beta: np.ndarray):
     index = np.arange(count)  # the running rows, as rows of the input
     beta = beta.copy()
     stage = np.zeros(count, dtype=int)
-    taken = np.zeros(count, dtype=int)  # steps in the current stage
+    taken = np.zeros(count, dtype=int)  # steps in the current stage or on the current face
     iterations = np.zeros(count, dtype=int)
+    # the faces of the current finish, and where the smoothing stage before it ended
+    faces, smoothed = np.zeros(count, dtype=int), beta.copy()
     while True:
-        # every running row is at a new point or in a new stage
+        # every running row is at a new point, in a new stage or on a new face
         eps = stages[stage]
-        value, grad, hess = batch.parts(beta, eps)
+        value, grad, hess, r = batch.parts(beta, eps)
+        face, on_face = batch.face, batch.on_face
         cert = np.full(len(beta), np.inf) if batch.kink else _norm(grad)
         overflow = ~(value < np.inf)
         if overflow.any():  # such a row ends here; keep its step finite
             hess[overflow], grad[overflow] = np.eye(p), 0.0
         ended = overflow | (taken >= MAX_ITERATIONS)
+        flat = np.zeros(len(beta), dtype=bool)
+        if on_face:  # Newton steps in the coordinates g of beta + basis @ g
+            basis = batch.basis[face]
+            curv = np.swapaxes(basis, 1, 2) @ hess[face] @ basis
+            flat[face] = ~curv.any(axis=(1, 2))
+            # identity curvature in the padded directions, and on a flat face,
+            # whose step is then down the gradient
+            hess[face] = curv + np.eye(p) * (~basis.any(axis=1) | flat[face, None])[:, None, :]
+            ended |= face & (_norm(grad) <= 1e-2 * TOL_GRADIENT)
         step = _solve(hess, -grad)
         slope = (grad * step).sum(axis=1)
         if batch.kink:
-            ended |= -slope <= eps
+            ended |= ~face & (-slope <= eps)
         else:  # one stage, which ends once certified
             ended |= cert <= TOL_GRADIENT
         go = ~ended
+        cap, hit = np.full(len(beta), np.inf), np.zeros(len(beta), dtype=bool)  # hit: at a kink
+        if on_face:
+            step[face] = _matvec(basis, step[face])
+            rate = _matvec(batch.x, step)  # r falls by t * rate
+            ahead = batch.side * rate > 0.0  # never off a face, where side is NaN
+            reach = np.where(ahead, r / np.where(ahead, rate, 1.0), np.inf)
+            nearest = reach.argmin(axis=1)
+            cap = np.maximum(reach[np.arange(len(beta)), nearest], 0.0)  # 0: at the kink
+            ended |= go & flat & (cap == np.inf)
+            hit = go & ~ended & (flat | (cap == 0.0))  # straight to the kink
+            beta[hit] += cap[hit, None] * step[hit]
+            go &= ~ended & (cap > 0.0)
         iterations += go
         taken += go
-        if go.any():
-            beta, failed = _line_search(batch, go, beta, value, grad, step, slope, eps)
-            ended |= failed
-        done = ended & ((stage == last) | overflow)
-        if batch.kink:  # a row whose stage ended tries the finish
-            for b in np.flatnonzero(ended & ~overflow):
-                finished = batch.finish(b, beta[b], eps[b], stage[b] == last)
-                if finished is None:
-                    continue
-                exact, exact_cert, steps = finished
-                iterations[b] += steps
-                floor = batch.rounding_floor(exact[None], [b])[0]
-                if done[b] or exact_cert <= max(TOL_GRADIENT, floor):
-                    beta[b], cert[b], done[b] = exact, exact_cert, True
-        stage += ended
-        taken[ended] = 0
+        search = go & ~flat
+        if search.any():
+            beta, t = _line_search(batch, search, beta, value, grad, step, slope, eps, cap)
+            ended |= search & np.isnan(t)
+            hit |= t == cap
+        done = overflow & ~face if batch.kink else ended  # a face row's finish fails instead
+        if batch.kink and (ended | hit).any():
+            enter = ended & ~face & ~overflow  # a smoothing stage ended
+            if enter.any():  # enter the face of S if |S| <= p, or after the last stage
+                at = np.abs(r) <= _FACE_WIDTH * eps[:, None]
+                small = (at.sum(axis=1) <= p) | (stage == last)
+                stage += enter & ~small
+                enter &= small
+                if enter.any():
+                    batch.side[enter] = np.where(at[enter], 0.0, np.sign(r[enter]))
+                    smoothed[enter], faces[enter] = beta[enter], 0
+                    batch.faces_changed()
+            if on_face:
+                batch.side[hit, nearest[hit]] = 0.0
+                # a row whose steps on its face ended gets the multipliers of S
+                check = np.flatnonzero(ended & face)
+                if check.size:
+                    kkt, u, residual = batch.subset(check).multipliers(beta[check])
+                    worst = (np.arange(check.size), np.abs(u).argmax(axis=1))
+                    largest = np.abs(u[worst])
+                    cert[check] = np.where(largest <= 1.0, kkt, np.nan)  # NaN certifies nothing
+                    drop = (largest > 1.0) & np.isfinite(kkt)
+                    batch.side[check[drop], residual[worst][drop]] = np.sign(u[worst][drop])
+                    hit[check[drop]] = True
+                finished = ended & face & ~hit | hit & (faces >= MAX_ITERATIONS)
+                hit &= ~finished
+                end = np.flatnonzero(finished)
+                done[end] |= (stage[end] == last) | batch.subset(end).certified(beta[end], cert[end])
+                back = finished & ~done  # to the next stage, from where the last one ended
+                beta[back], stage[back], batch.side[back] = smoothed[back], stage[back] + 1, np.nan
+                batch.faces_changed()
+            project = np.flatnonzero(enter | hit)
+            if project.size:
+                beta[project], batch.basis[project] = batch.subset(project).project(beta[project])
+                faces[project] += 1
+            taken[ended | hit] = 0
         if done.any():
-            for kept, now in zip(out, (beta, value, iterations, cert, overflow)):
+            for kept, now in zip(out, (beta, value, iterations, cert, overflow & ~face)):
                 kept[index[done]] = now[done]
             running = np.flatnonzero(~done)
             if not running.size:
                 return out
-            index, beta, stage, taken, iterations = (
-                index[running], beta[running], stage[running], taken[running],
-                iterations[running])
+            index, beta, stage, taken, iterations, faces, smoothed = (
+                a[running] for a in (index, beta, stage, taken, iterations, faces, smoothed))
             batch = batch.subset(running)
 
 
@@ -563,10 +565,7 @@ def _fit_batch(
         if criterion.kink:  # the unsmoothed criterion
             value = np.sum(w * criterion.rho(z - _matvec(x, coef)), axis=1)
         cert[~np.isfinite(cert)] = np.inf
-        converged = cert <= TOL_GRADIENT
-        loose = np.flatnonzero(~converged)
-        if loose.size:
-            converged[loose] = cert[loose] <= batch.rounding_floor(coef[loose], loose)
+        converged = batch.certified(coef, cert)
     beta = coef if basis is None else coef @ basis.T
     fits = []
     for b in range(count):

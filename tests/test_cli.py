@@ -286,10 +286,9 @@ class TestSimulate:
         r = runner.invoke(main, [
             "simulate", "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
         assert r.exit_code == 1
-        # the config file rejects n <= p for its standard errors; the power
-        # study, which needs it whatever compute_see says, rejects it itself
-        where = f"{cfg}: " if mode == "estimation" else ""
-        assert r.output.startswith(f"error: {where}inference needs more observations than "
+        # the config file rejects n <= p for the standard errors, and in power
+        # mode for the power study whatever compute_see says
+        assert r.output.startswith(f"error: {cfg}: inference needs more observations than "
                                    "coefficients (n = 3, p = 3)")
         assert "Traceback" not in r.output
 
@@ -342,8 +341,8 @@ class TestSimulate:
         out = tmp_path / "o.csv"
         r = runner.invoke(main, ["simulate", "--config", str(cfg), "--output", str(out)])
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
-        assert r.output.startswith("error: beta_grid point (1.0, 0.5) has 2 coefficients, "
-                                   "beta has 3")
+        assert r.output.startswith(f"error: {cfg}:8: beta_grid = '1,0.5,0; 1,0.5': beta_grid "
+                                   "point (1.0, 0.5) has 2 coefficients, beta has 3")
         assert not out.exists()
 
     def test_empty_grid_exits_1(self, runner, tmp_path):
@@ -352,7 +351,7 @@ class TestSimulate:
         out = tmp_path / "o.csv"
         r = runner.invoke(main, ["simulate", "--config", str(cfg), "--output", str(out)])
         assert r.exit_code == 1
-        assert r.output.startswith("error: beta_grid has no points")
+        assert r.output.startswith(f"error: {cfg}:8: beta_grid = ';': beta_grid has no points")
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.05", "nan"])
@@ -453,6 +452,21 @@ class TestPredict:
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert r.output.startswith(f"error: {test}, line 1: missing columns ['x2']")
 
+    @pytest.mark.parametrize("extra", [
+        ["--train", "{data}", "--test", "{absent}"], ["--train", "{data}"], ["--test", "{data}"],
+        ["--bodyfat", "--train", "{data}"],
+    ], ids=["train_and_test", "train", "test", "bodyfat"])
+    def test_input_with_train_or_test_exits_1(self, runner, tmp_path, data_csv, extra):
+        # --input would win, and --train or --test would be ignored unread
+        paths = {"data": data_csv[0], "absent": tmp_path / "absent.csv"}
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, [
+            "predict", "--input", str(paths["data"]), "--split", "40", "--response", "y",
+            *(arg.format(**paths) for arg in extra), "--output", str(out)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith("error: give --input or --train/--test, not both")
+        assert not out.exists()
+
     def test_requires_input_spec(self, runner, tmp_path):
         r = runner.invoke(main, [
             "predict", "--response", "y", "--output", str(tmp_path / "o.csv")])
@@ -464,6 +478,23 @@ class TestPredict:
             "predict", "--input", str(path), "--split", "0",
             "--response", "y", "--output", str(tmp_path / "o.csv")])
         assert r.exit_code == 1
+
+
+@pytest.mark.parametrize("args, option", [
+    (["test", "--input", "{data}", "--response", "y", "--zero-coefs", "1,a"], "--zero-coefs"),
+    (["fit", "--input", "{data}", "--response", "y", "--criterion", "lare",
+      "--resamples", "1", "--output", "{out}"], "--resamples"),
+    (["predict", "--input", "{data}", "--split", "80", "--response", "y",
+      "--resamples", "1", "--output", "{out}"], "--resamples"),
+    (["predict", "--input", "{data}", "--split", "80", "--response", "y",
+      "--criterion", "lpre", "--criterion", "lpre", "--output", "{out}"], "--criterion"),
+], ids=["test_zero_coefs", "fit_resamples", "predict_resamples", "predict_repeated_criterion"])
+def test_bad_option_value_is_a_usage_error(runner, tmp_path, data_csv, args, option):
+    paths = {"data": data_csv[0], "out": tmp_path / "out.csv"}
+    r = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+    assert f"Invalid value for '{option}'" in r.output
+    assert not paths["out"].exists()
 
 
 SMALL_CONFIG = ("beta = 1, 0.5\nerror_law = log_normal(0, 0.5)\nn = 20\nreplications = 2\n"

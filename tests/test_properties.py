@@ -4,6 +4,9 @@ Every row of the criteria table, weighted and not, free and constrained,
 over n in 5..60 and p in 1..6: each fit carries its certificate, a batch
 equals a loop of single fits, LAD reaches the linear-program optimum,
 and fits are unchanged by unit weights, scaling y or reordering rows.
+A batch may hold an exactly fitted problem, whose kinked fit ends its
+last smoothing stage with every residual at the kink (|S| = n > p) while
+the others smooth or step on faces of their own.
 """
 
 import math
@@ -32,11 +35,14 @@ def dataset(rng, n, p):
 @st.composite
 def problems(draw):
     """BATCH problems of one shape: (criterion name, datasets, weights or
-    None, hypothesis or None)."""
+    None, hypothesis or None); the first may have exact responses."""
     n = draw(st.integers(5, 60))
     p = draw(st.integers(1, min(6, n - 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     datasets = [dataset(rng, n, p) for _ in range(BATCH)]
+    if draw(st.booleans()):
+        x = datasets[0].x
+        datasets[0] = Dataset(x, np.exp(x @ rng.uniform(-1.0, 1.0, p)))
     weights = rng.standard_exponential((BATCH, n)) if draw(st.booleans()) else None
     hypothesis = None
     if p > 1 and draw(st.booleans()):

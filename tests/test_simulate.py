@@ -447,6 +447,8 @@ class TestParsing:
         ("error_law = log_normal(0, x)", "error_law = 'log_normal(0, x)': could not convert"),
         ("estimators = lpre, ridge", "estimators = 'lpre, ridge': unknown estimator 'ridge'; "
                                      "expected one of ['gre:asym'"),
+        ("estimators = lpre, lpre", "estimators = 'lpre, lpre': estimator 'lpre' is listed "
+                                    "twice"),
     ])
     def test_bad_line_names_file_line_and_key(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"

@@ -371,6 +371,47 @@ def batch_problems(p):
     return datasets, x, np.log(np.stack([d.y for d in datasets]))
 
 
+def record_phases(monkeypatch):
+    """The set of phase events the Newton loop passes through in the fits
+    that follow: "smoothing beside a face" (a batch with rows in both), "hit"
+    (a step stopped at the kink ahead), "dropped" (a multiplier outside
+    [-1, 1]), "flat face" (a LAD step within a face) and "|S| > p"."""
+    seen = set()
+    batch, line_search = solver._Batch, solver._line_search
+    parts, project, multipliers = batch.parts, batch.project, batch.multipliers
+
+    def parts_(self, beta, eps):
+        found = parts(self, beta, eps)  # (value, gradient within faces, ...)
+        if 0 < self.face.sum() < len(beta):
+            seen.add("smoothing beside a face")
+        if self.criterion.name == "lad_log" and (solver._norm(found[1][self.face]) > 1e-12).any():
+            seen.add("flat face")
+        return found
+
+    def project_(self, beta):
+        if ((self.side == 0.0).sum(axis=1) > beta.shape[1]).any():
+            seen.add("|S| > p")
+        return project(self, beta)
+
+    def multipliers_(self, beta):
+        found = multipliers(self, beta)  # (KKT residual, multipliers, ...)
+        if (np.abs(found[1]) > 1.0).any():
+            seen.add("dropped")
+        return found
+
+    def line_search_(batch, search, beta, value, grad, step, slope, eps, cap):
+        beta, t = line_search(batch, search, beta, value, grad, step, slope, eps, cap)
+        if (t == cap).any():
+            seen.add("hit")
+        return beta, t
+
+    for name, wrapper in (("parts", parts_), ("project", project_),
+                          ("multipliers", multipliers_)):
+        monkeypatch.setattr(batch, name, wrapper)
+    monkeypatch.setattr(solver, "_line_search", line_search_)
+    return seen
+
+
 class TestBatchEqualsSingleFits:
     @pytest.mark.parametrize("p", [3, 13])
     @pytest.mark.parametrize("name", sorted(CRITERIA))
@@ -405,6 +446,26 @@ class TestBatchEqualsSingleFits:
         fits = solver._fit_batch(CRITERIA[name], x, z, w, basis=hyp.null_basis())
         for data, weights, fit in zip(datasets, w, fits):
             single = fit_gre(CRITERIA[name], data, weights=weights, hypothesis=hyp)
+            np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
+            assert fit.gradient_norm <= solver.TOL_GRADIENT
+
+    @pytest.mark.parametrize("name", sorted(KINKED))
+    def test_rows_in_different_phases(self, name, monkeypatch):
+        # Random weighting of one dataset (20 resamples) beside its exactly
+        # fitted twin: in one batch, rows smooth while others are on a face,
+        # steps hit kinks while multipliers are dropped, LAD steps down flat
+        # faces, and the exact row ends its last stage with |S| = n > p.
+        seen = record_phases(monkeypatch)
+        rng = np.random.default_rng(2)
+        data, beta = random_dataset(rng, n=200)
+        exact = Dataset(data.x, np.exp(data.x @ beta))
+        z = np.log(np.vstack([np.tile(data.y, (20, 1)), exact.y]))
+        w = np.vstack([rng.standard_exponential((20, data.n)), np.ones(data.n)])
+        fits = solver._fit_batch(CRITERIA[name], data.x, z, w)
+        events = {"smoothing beside a face", "dropped", "|S| > p"}
+        assert events | {"flat face" if name == "lad_log" else "hit"} <= seen
+        for dataset, weights, fit in zip([data] * 20 + [exact], w, fits):
+            single = fit_gre(CRITERIA[name], dataset, weights=weights)
             np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
             assert fit.gradient_norm <= solver.TOL_GRADIENT
 
