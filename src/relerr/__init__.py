@@ -34,7 +34,6 @@ from .solver import (
     fit_constrained_lpre,
     fit_gre,
     fit_lad_log,
-    fit_lare,
     fit_lpre,
     fit_ls_log,
 )

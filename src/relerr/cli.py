@@ -123,7 +123,7 @@ def cmd_test(input_path, response, zero_coefs, hypothesis_file):
 @click.option("--seed", default=None, type=click.IntRange(min=0),
               help="override the config seed")
 @click.option("--threads", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--replications", default=None, type=int,
+@click.option("--replications", default=None, type=click.IntRange(min=1),
               help="override the config replication count")
 def cmd_simulate(config_path, output, seed, threads, replications):
     """Run a Monte Carlo study described by a config file."""
@@ -171,6 +171,8 @@ def cmd_predict(train_path, test_path, input_path, split, response, methods,
     methods = tuple(methods) or inference.PAPER_ESTIMATORS
     if input_path is not None and (train_path is not None or test_path is not None):
         raise RelerrError("give --input or --train/--test, not both")
+    if split is not None and (input_path is None or bodyfat):
+        raise RelerrError("--split needs --input and no --bodyfat")
     if bodyfat:
         if input_path is None:
             raise RelerrError("--bodyfat requires --input")

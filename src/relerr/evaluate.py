@@ -19,23 +19,15 @@ from .data import Dataset, read_csv, write_csv
 from .errors import NumericOverflowError, RelerrError
 from .solver import FitResult
 
-#: CSV column names the body-fat pipeline reads; height and weight
-#: are combined into the height^4/weight^2 feature internally.
-BODYFAT_COLUMNS = {
-    "response": "bodyfat",
-    "age": "age",
-    "height": "height",
-    "weight": "weight",
-    "circumferences": [
-        "neck", "chest", "abdomen", "hip", "thigh",
-        "knee", "ankle", "biceps", "forearm", "wrist",
-    ],
-}
-
-BODYFAT_FEATURE_NAMES = [
-    "age", "height4_weight2", "neck", "chest", "abdomen", "hip",
+#: CSV columns the body-fat pipeline reads: the response, age, height,
+#: weight and the ten circumferences
+BODYFAT_COLUMNS = [
+    "bodyfat", "age", "height", "weight", "neck", "chest", "abdomen", "hip",
     "thigh", "knee", "ankle", "biceps", "forearm", "wrist",
 ]
+
+#: the pipeline's features: height and weight become height^4/weight^2
+BODYFAT_FEATURE_NAMES = ["age", "height4_weight2", *BODYFAT_COLUMNS[4:]]
 
 #: rows of the body-fat data (file order) the pipeline trains on
 TRAIN_SIZE = 200
@@ -106,14 +98,11 @@ def evaluate_split(
 
 
 def _read_bodyfat_csv(csv_path):
-    names, circ = BODYFAT_COLUMNS, BODYFAT_COLUMNS["circumferences"]
-    header, columns = read_csv(
-        csv_path, [names[k] for k in ("response", "age", "height", "weight")] + circ)
-    col = dict(zip(header, columns))
-    height, weight = col[names["height"]], col[names["weight"]]
-    features = np.column_stack([col[names["age"]], height**4 / weight**2,
-                                *(col[c] for c in circ)])
-    return col[names["response"]], features
+    """The response and the features (``BODYFAT_FEATURE_NAMES``) of a body-fat CSV."""
+    col = dict(zip(*read_csv(csv_path, BODYFAT_COLUMNS)))
+    features = np.column_stack([col["age"], col["height"]**4 / col["weight"]**2,
+                                *(col[c] for c in BODYFAT_COLUMNS[4:])])
+    return col["bodyfat"], features
 
 
 def bodyfat_pipeline(

@@ -39,7 +39,7 @@ class CovarianceEstimate:
     """Estimated covariance of beta-hat (already divided by n)."""
 
     cov: np.ndarray
-    method: str  # "plugin_sandwich" or "random_weighting"
+    method: str  # the registry's kind: "sandwich", "ols" or "random_weighting"
     d_hat: Optional[np.ndarray] = None
     v_hat: Optional[np.ndarray] = None
     n_skipped: int = 0
@@ -113,7 +113,7 @@ def sandwich_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
                                               check_beta(fit.beta, data)[None])
     if np.isnan(cov).any():
         raise SingularDesignError(_SINGULAR["sandwich"])
-    return CovarianceEstimate(cov=cov, method="plugin_sandwich", d_hat=d_hat, v_hat=v_hat)
+    return CovarianceEstimate(cov=cov, method="sandwich", d_hat=d_hat, v_hat=v_hat)
 
 
 def ols_log_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
@@ -122,7 +122,7 @@ def ols_log_covariance(fit: FitResult, data: Dataset) -> CovarianceEstimate:
     [cov] = _ols_stack(data.x[None], np.log(data.y)[None], check_beta(fit.beta, data)[None])
     if np.isnan(cov).any():
         raise SingularDesignError(_SINGULAR["ols"])
-    return CovarianceEstimate(cov=cov, method="plugin_sandwich")
+    return CovarianceEstimate(cov=cov, method="ols")
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -210,12 +210,12 @@ def _criterion_gaps(criterion: GreCriterion, x, z, w, basis: np.ndarray):
                   for f, c in zip(free, constrained)]
 
 
-def _lpre_anova_tests(x, z, hypothesis: LinearHypothesis, basis: np.ndarray) -> list:
+def _lpre_anova_tests(x, z, hypothesis: LinearHypothesis) -> list:
     """``lpre_anova_test`` of each problem of a stack: designs x (B, n, p)
-    of full rank, log responses z (B, n), and ``basis`` the null basis of
-    ``hypothesis``.  Per problem its TestResult, or the RelerrError it
-    raises."""
-    free, tests = _criterion_gaps(criteria.PRODUCT, x, z, np.ones(z.shape), basis)
+    of full rank and log responses z (B, n).  Per problem its TestResult,
+    or the RelerrError it raises."""
+    free, tests = _criterion_gaps(criteria.PRODUCT, x, z, np.ones(z.shape),
+                                  hypothesis.null_basis())
     fitted = [i for i, gap in enumerate(tests) if not isinstance(gap, Exception)]
     stat = np.array([tests[i] for i in fitted])
     k_hat = _khat(x[fitted], z[fitted], np.array([free[i].beta for i in fitted]).reshape(
@@ -237,21 +237,13 @@ def lpre_anova_test(data: Dataset, hypothesis: LinearHypothesis) -> TestResult:
     """
     _require_residual_dof(data)
     solver._require_full_rank(data)
-    return solver._one(_lpre_anova_tests(data.x[None], np.log(data.y)[None], hypothesis,
-                                         solver._null_basis(hypothesis, data)))
+    solver._null_basis(hypothesis, data)  # checks p against the design
+    return solver._one(_lpre_anova_tests(data.x[None], np.log(data.y)[None], hypothesis))
 
 
-def _criterion(estimator) -> GreCriterion:
-    """The criterion of a registry name, a criterion name or a criterion."""
-    if isinstance(estimator, GreCriterion):
-        return estimator
-    if estimator in ESTIMATORS:
-        return ESTIMATORS[estimator].criterion
-    if estimator in criteria.CRITERIA:
-        return criteria.CRITERIA[estimator]
-    raise ValueError(
-        f"unknown estimator kind {estimator!r}; expected one of "
-        f"{sorted(ESTIMATORS)}, {sorted(criteria.CRITERIA)} or a GreCriterion")
+def _criterion(kind) -> GreCriterion:
+    """The criterion of a registry name, or a criterion."""
+    return kind if isinstance(kind, GreCriterion) else estimator(kind).criterion
 
 
 def _resample(statistic, n: int, n_resample: int, rng, what: str):
@@ -292,13 +284,13 @@ def random_weight_covariance(
 ) -> CovarianceEstimate:
     """Random-weighting covariance of an estimator.
 
-    ``estimator`` is a registry name ("lpre", "lare", ...), a criterion
-    name ("ls_log", "lad_log", ...) or a criterion.  Re-minimizes the
-    criterion n_resample times, as one batch, with i.i.d. standard
-    exponential (unit mean, unit variance) per-observation weights and
-    returns the empirical covariance of the re-estimates.  A failed
-    resample fit is retried once with fresh weights, then skipped and
-    counted in ``n_skipped``; more than 10% skips aborts.
+    ``estimator`` is a registry name ("lpre", "lare", "ls", ...) or a
+    criterion.  Re-minimizes the criterion n_resample times, as one
+    batch, with i.i.d. standard exponential (unit mean, unit variance)
+    per-observation weights and returns the empirical covariance of the
+    re-estimates.  A failed resample fit is retried once with fresh
+    weights, then skipped and counted in ``n_skipped``; more than 10%
+    skips aborts.
     """
     criterion = _criterion(estimator)
     _require_residual_dof(data)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, replace
@@ -64,6 +65,8 @@ class SimulationConfig:
             inference._require_residual_dof(self)
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed}: must be non-negative")
         entries = [inference.estimator(name) for name in self.estimators]
         if self.compute_see and self.resample_size < 2 and any(
                 entry.covariance == "random_weighting" for entry in entries):
@@ -232,22 +235,16 @@ def run_estimation_study(
     return rows
 
 
-@dataclass(frozen=True)
-class _PowerTask:
-    """The criterion-difference test of one hypothesis, with its null
-    basis, on each replication of a chunk."""
-
-    hypothesis: LinearHypothesis
-    basis: np.ndarray
-
-    def __call__(self, config, reps):
-        _, x, _, z = _draw_chunk(config, reps)
-        outcomes = solver._rank_errors(x)
-        live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-        tests = inference._lpre_anova_tests(x[live], z[live], self.hypothesis, self.basis)
-        for i, test in zip(live, tests):
-            outcomes[i] = test if isinstance(test, RelerrError) else test.p_value
-        return outcomes
+def _power_chunk(hypothesis: LinearHypothesis, config, reps):
+    """The criterion-difference test of ``hypothesis`` on each replication
+    of a chunk: its p-value, or the RelerrError it raised."""
+    _, x, _, z = _draw_chunk(config, reps)
+    outcomes = solver._rank_errors(x)
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    tests = inference._lpre_anova_tests(x[live], z[live], hypothesis)
+    for i, test in zip(live, tests):
+        outcomes[i] = test if isinstance(test, RelerrError) else test.p_value
+    return outcomes
 
 
 def _check_levels(alphas):
@@ -286,8 +283,7 @@ def run_power_study(
     _check_grid(beta_grid, config.p)
     _check_levels(alpha_levels)
     rows = []
-    hypothesis = LinearHypothesis.zero_coefs(hypothesis_coefs, config.p)
-    task = _PowerTask(hypothesis, hypothesis.null_basis())
+    task = functools.partial(_power_chunk, LinearHypothesis.zero_coefs(hypothesis_coefs, config.p))
     for g, beta in enumerate(beta_grid):
         # distinct seed stream per grid point, still fully deterministic
         cfg = replace(config, beta_true=tuple(beta), seed=config.seed + 1_000_003 * g)
@@ -366,23 +362,23 @@ def _estimator_names(text):
 
 
 #: each config key: its value parser, its default (None: the key is
-#: required) and whether only power mode reads it
+#: required) and the mode that reads it (None: both)
 _KEYS = {
     "mode": (_checked(str, lambda mode: mode in ("estimation", "power"),
-                      "must be estimation or power"), "estimation", False),
-    "beta": (_comma_list(float), None, False),
-    "error_law": (parse_error_law, None, False),
-    "n": (int, 200, False),
-    "replications": (int, 1000, False),
-    "resample_size": (int, 500, False),
-    "estimators": (_estimator_names, inference.PAPER_ESTIMATORS, False),
-    "seed": (_checked(int, lambda seed: seed >= 0, "must be non-negative"), 0, False),
+                      "must be estimation or power"), "estimation", None),
+    "beta": (_comma_list(float), None, None),
+    "error_law": (parse_error_law, None, None),
+    "n": (int, 200, None),
+    "replications": (int, 1000, None),
+    "resample_size": (int, 500, None),
+    "estimators": (_estimator_names, inference.PAPER_ESTIMATORS, None),
+    "seed": (_checked(int, lambda seed: seed >= 0, "must be non-negative"), 0, None),
     "compute_see": (_checked(lambda text: _BOOLEANS.get(text.lower()), lambda b: b is not None,
-                             "must be true/false/yes/no/1/0"), True, False),
-    "zero_coefs": (_comma_list(int), None, True),
+                             "must be true/false/yes/no/1/0"), True, "estimation"),
+    "zero_coefs": (_comma_list(int), None, "power"),
     "beta_grid": (lambda text: [_comma_list(float)(point) for point in text.split(";")
-                                if point.strip()], None, True),
-    "alphas": (lambda text: _check_levels(_comma_list(float)(text)), (0.05, 0.01), True),
+                                if point.strip()], None, "power"),
+    "alphas": (lambda text: _check_levels(_comma_list(float)(text)), (0.05, 0.01), "power"),
 }
 
 
@@ -412,18 +408,18 @@ def load_config(path) -> dict:
             except (ValueError, TypeError) as exc:
                 fail(key, exc)
     mode = values.setdefault("mode", "estimation")
-    for key, (_, default, power_only) in _KEYS.items():
-        if power_only and mode == "estimation" and key in values:
-            fail(key, "read only in power mode")
-        if key not in values and (mode == "power" or not power_only):
+    for key, (_, default, reader) in _KEYS.items():
+        if reader not in (None, mode):
+            if key in values:
+                fail(key, f"read only in {reader} mode")
+        elif key not in values:
             if default is None:
                 raise ValueError(f"{path}: missing required key {key!r}")
             values[key] = default
-    fields = {key: values.pop(key) for key in list(values) if key != "mode" and not _KEYS[key][2]}
+    fields = {key: values.pop(key) for key in list(values)
+              if key != "mode" and _KEYS[key][2] != "power"}
     try:
         config = SimulationConfig(beta_true=fields.pop("beta"), **fields)
-        if mode == "power":  # whatever compute_see says
-            inference._require_residual_dof(config)
     except (RelerrError, ValueError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
     if mode == "power":

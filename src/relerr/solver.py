@@ -17,8 +17,8 @@ on from where the last one ended, and after the last the face's point stands.
 A fit is returned only with an optimality certificate no larger than
 ``TOL_GRADIENT`` -- or, where the gradient's terms are so
 large that rounding alone leaves more, no larger than 1000 rounding
-units of their summed magnitudes.  It is reported as
-``FitResult.gradient_norm``:
+units of their summed magnitudes, where that sum is finite.  It is
+reported as ``FitResult.gradient_norm``:
 
 * without a kink, the norm of the gradient;
 * with a kink, the exact KKT residual on the face: the norm of the
@@ -103,8 +103,13 @@ class LinearHypothesis:
             raise ValueError("H must be finite (no NaN or infinity)")
         if q > p:
             raise ValueError("more constraints than parameters")
-        if np.linalg.matrix_rank(h) < q:
+        # the rank cut of scipy's null_space (max(p, q) = p here), which is
+        # np.linalg.matrix_rank's cut for q <= p
+        _, sv, vt = np.linalg.svd(h.T)
+        rank = np.sum(sv > sv.max(initial=0.0) * p * np.finfo(float).eps)
+        if rank < q:
             raise ValueError("constraint vectors must be linearly independent")
+        object.__setattr__(self, "_basis", vt[rank:].T)
 
     @property
     def q(self) -> int:
@@ -115,14 +120,9 @@ class LinearHypothesis:
         return self.h.shape[0]
 
     def null_basis(self) -> np.ndarray:
-        """Orthonormal basis B (p-by-(p-q)) of {b : H'b = 0}.
-
-        The right singular vectors of H' beyond its numerical rank, with
-        the rank cut of scipy's ``null_space`` (max(p, q) = p here).
-        """
-        _, sv, vt = np.linalg.svd(self.h.T)
-        rank = np.sum(sv > sv.max(initial=0.0) * self.p * np.finfo(float).eps)
-        return vt[rank:].T
+        """Orthonormal basis B (p-by-(p-q)) of {b : H'b = 0}: the right
+        singular vectors of H' beyond its rank, taken once, on construction."""
+        return self._basis
 
     @classmethod
     def zero_coefs(cls, indices, p: int) -> "LinearHypothesis":
@@ -352,14 +352,15 @@ class _Batch:
     def certified(self, beta, cert) -> np.ndarray:
         """Whether each row's certificate is within ``TOL_GRADIENT``, or
         within what rounding alone can leave at beta: 1000 rounding units of
-        the summed magnitudes of the gradient's terms."""
+        the summed magnitudes of the gradient's terms, if that is finite."""
         ok = cert <= TOL_GRADIENT
         loose = np.flatnonzero(~ok)
         if loose.size:
             rows = self.subset(loose)
             size = _matvec(np.abs(np.swapaxes(rows.x, -1, -2)), rows.w * (
                 np.abs(self.sigma(rows._residuals(beta[loose]))[1]) + self.kink))
-            ok[loose] = cert[loose] <= 1e3 * np.finfo(float).eps * _norm(size)
+            floor = 1e3 * np.finfo(float).eps * _norm(size)
+            ok[loose] = (cert[loose] <= floor) & np.isfinite(floor)
         return ok
 
 
@@ -629,11 +630,6 @@ def fit_constrained_lpre(
     With q = p the null space is {0} and beta = 0 is returned directly.
     """
     return _fit(criteria.PRODUCT, data, weights, hypothesis)
-
-
-def fit_lare(data: Dataset, weights: Optional[np.ndarray] = None) -> FitResult:
-    """Minimize the additive relative-error criterion."""
-    return _fit(criteria.SUM, data, weights, None)
 
 
 def fit_ls_log(data: Dataset, weights: Optional[np.ndarray] = None) -> FitResult:

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.stats import chisquare, ks_2samp
 
-from relerr.criteria import ASYMMETRIC, MAX, PRODUCT, gre_loss
+from relerr.criteria import ASYMMETRIC, MAX, PRODUCT, SUM, gre_loss
 from relerr.data import Dataset
 from relerr.distributions import (
     EFFICIENT_KINDS,
@@ -25,7 +25,7 @@ from relerr.distributions import (
 )
 from relerr.evaluate import bodyfat_pipeline
 from relerr.simulate import SimulationConfig, run_estimation_study, run_power_study
-from relerr.solver import TOL_GRADIENT, fit_gre, fit_lare, fit_lpre
+from relerr.solver import TOL_GRADIENT, fit_gre, fit_lpre
 
 import conftest
 from conftest import lpre_gradient, lpre_hessian, random_dataset
@@ -269,7 +269,7 @@ def test_criterion_11_response_scale_invariance():
     worst_intercept = 0.0
     fitters = (
         fit_lpre,
-        fit_lare,
+        lambda d: fit_gre(SUM, d),
         lambda d: fit_gre(MAX, d),
         lambda d: fit_gre(ASYMMETRIC, d),
     )

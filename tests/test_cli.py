@@ -277,7 +277,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", [
         "estimation",
-        "power\nzero_coefs = 2\nbeta_grid = 1,0.5,0\ncompute_see = false",
+        pytest.param("power\nzero_coefs = 2\nbeta_grid = 1,0.5,0", id="power"),
     ])
     def test_no_residual_dof_exits_1(self, runner, tmp_path, mode):
         cfg = tmp_path / "sim.cfg"
@@ -287,7 +287,7 @@ class TestSimulate:
             "simulate", "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
         assert r.exit_code == 1
         # the config file rejects n <= p for the standard errors, and in power
-        # mode for the power study whatever compute_see says
+        # mode for the power study
         assert r.output.startswith(f"error: {cfg}: inference needs more observations than "
                                    "coefficients (n = 3, p = 3)")
         assert "Traceback" not in r.output
@@ -366,7 +366,8 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("option, value", [
-        ("--threads", "0"), ("--threads", "-2"), ("--seed", "-1")])
+        ("--threads", "0"), ("--threads", "-2"), ("--seed", "-1"), ("--replications", "0"),
+        ("--replications", "-3")])
     def test_out_of_range_option_is_a_usage_error(self, runner, tmp_path, option, value):
         cfg = tmp_path / "pow.cfg"
         cfg.write_text(self.POWER_CONFIG)
@@ -465,6 +466,20 @@ class TestPredict:
             *(arg.format(**paths) for arg in extra), "--output", str(out)])
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert r.output.startswith("error: give --input or --train/--test, not both")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--train", "{data}", "--test", "{data}", "--response", "y"],
+        ["--bodyfat", "--input", "{data}"],
+    ], ids=["train_and_test", "bodyfat"])
+    def test_split_without_input_exits_1(self, runner, tmp_path, data_csv, extra):
+        # only --input is split; elsewhere --split would be ignored
+        paths = {"data": data_csv[0]}
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["predict", "--split", "40",
+                                 *(arg.format(**paths) for arg in extra), "--output", str(out)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output.startswith("error: --split needs --input and no --bodyfat")
         assert not out.exists()
 
     def test_requires_input_spec(self, runner, tmp_path):

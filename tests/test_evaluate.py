@@ -119,11 +119,9 @@ def _write_fake_bodyfat(path, n=252, seed=0, zeros=(41,)):
     """Synthetic file in the case-study layout with zero responses at the
     rows ``zeros``."""
     rng = np.random.default_rng(seed)
-    cols = (["bodyfat", "age", "height", "weight"]
-            + BODYFAT_COLUMNS["circumferences"])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
+        w.writerow(BODYFAT_COLUMNS)
         for i in range(n):
             age = rng.uniform(22, 80)
             height = rng.uniform(64, 78)

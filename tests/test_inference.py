@@ -12,6 +12,7 @@ from relerr.distributions import ErrorLaw, Sampler, population_constants
 from relerr import solver
 from relerr.errors import ConvergenceError, RelerrError, ResamplingError
 from relerr.inference import (
+    ESTIMATORS,
     _chi2_sf,
     _normal_sf,
     gre_anova_test,
@@ -67,7 +68,7 @@ class TestWald:
     def test_one_sided_default_and_two_sided(self):
         fit = FitResult(np.array([2.0]), 0.0, 0.0, 1, True, "lpre")
         from relerr.inference import CovarianceEstimate
-        est = CovarianceEstimate(cov=np.array([[1.0]]), method="plugin_sandwich")
+        est = CovarianceEstimate(cov=np.array([[1.0]]), method="sandwich")
         p1 = wald_p_values(fit, est)
         p2 = wald_p_values(fit, est, two_sided=True)
         assert p1[0] == pytest.approx(norm.sf(2.0), rel=1e-12)
@@ -80,7 +81,7 @@ class TestWald:
                                [0.0, 1.0, -2.5, 0.0, 40.0, -1e-300]])
         se = np.concatenate([rng.uniform(0.01, 3.0, 200), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
         fit = FitResult(beta, 0.0, 0.0, 1, True, "lpre")
-        est = CovarianceEstimate(cov=np.diag(se**2), method="plugin_sandwich")
+        est = CovarianceEstimate(cov=np.diag(se**2), method="sandwich")
         z = np.where(se == 0, np.where(beta == 0, 0.0, np.inf),
                      np.abs(beta) / np.where(se == 0, 1.0, se))
         # equal to rounding: relerr takes the tail from math.erfc
@@ -91,7 +92,7 @@ class TestWald:
     def test_zero_se_edge_cases(self):
         from relerr.inference import CovarianceEstimate
         fit = FitResult(np.array([1.0, 0.0]), 0.0, 0.0, 1, True, "lpre")
-        est = CovarianceEstimate(cov=np.zeros((2, 2)), method="plugin_sandwich")
+        est = CovarianceEstimate(cov=np.zeros((2, 2)), method="sandwich")
         p = wald_p_values(fit, est)
         assert p[0] == 0.0
         assert p[1] == pytest.approx(0.5)
@@ -121,6 +122,14 @@ class TestTails:
         assert np.all(ours[~big] <= 1e-290)
         assert _normal_sf(math.inf) == 0.0
         assert math.isnan(_normal_sf(math.nan))
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_covariance_method_is_the_registry_kind(rng, name):
+    data, _ = random_dataset(rng, n=40)
+    entry = ESTIMATORS[name]
+    cov = entry.covariance_of(entry.fit(data), data, 10, np.random.default_rng(0))
+    assert cov.method == entry.covariance
 
 
 class TestOlsCovariance:
@@ -196,7 +205,7 @@ class TestRandomWeighting:
         data, _ = big_dataset(3, n=300)
         fit = fit_ls_log(data)
         rw = random_weight_covariance(
-            "ls_log", data, n_resample=400, rng=np.random.default_rng(1))
+            "ls", data, n_resample=400, rng=np.random.default_rng(1))
         analytic = ols_log_covariance(fit, data).standard_errors()
         np.testing.assert_allclose(rw.standard_errors(), analytic, rtol=0.25)
 
@@ -215,8 +224,14 @@ class TestRandomWeighting:
 
     def test_unknown_estimator_rejected(self, rng):
         data, _ = random_dataset(rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unknown estimator 'huber'; expected one of"):
             random_weight_covariance("huber", data, n_resample=10)
+
+    def test_criterion_row_name_rejected(self, rng):
+        # "ls_log" is a criterion row; the registry calls that estimator "ls"
+        data, _ = random_dataset(rng)
+        with pytest.raises(ValueError, match=r"unknown estimator 'ls_log'; expected one of"):
+            random_weight_covariance("ls_log", data, n_resample=10)
 
     def test_uncertified_resample_fits_raise(self, monkeypatch):
         # one Newton step per smoothing stage never certifies a LARE fit

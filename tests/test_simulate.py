@@ -50,6 +50,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(n=2)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"seed = -1: must be non-negative"):
+            small_config(seed=-1)
+
     def test_rejects_no_residual_dof_with_see(self):
         with pytest.raises(RelerrError, match=r"n = 3, p = 3"):
             small_config(n=3)
@@ -412,7 +416,6 @@ class TestParsing:
             "n = 200\n"
             "replications = 1000\n"
             "seed = 10\n"
-            "compute_see = false\n"
             "zero_coefs = 2\n"
             "beta_grid = 1,1,0; 1,1,0.1; 1,1,0.2\n"
             "alphas = 0.05, 0.01\n"
@@ -422,7 +425,7 @@ class TestParsing:
             "config": SimulationConfig(
                 beta_true=(1.0, 1.0, 0.0), error_law=ErrorLaw("lpre_efficient"), n=200,
                 replications=1000, resample_size=500, estimators=("lpre", "lare", "ls", "lad"),
-                seed=10, compute_see=False),
+                seed=10, compute_see=True),
             "zero_coefs": (2,),
             "beta_grid": [(1.0, 1.0, 0.0), (1.0, 1.0, 0.1), (1.0, 1.0, 0.2)],
             "alphas": (0.05, 0.01),
@@ -465,6 +468,14 @@ class TestParsing:
         path = tmp_path / "bad.cfg"
         path.write_text(f"beta = 1, 1, 0\nerror_law = log_normal(0,1)\n{lines}\n")
         with pytest.raises((RelerrError, ValueError), match=re.escape(f"{path}: {message}")):
+            load_config(path)
+
+    def test_estimation_key_in_power_mode_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "pow.cfg"
+        path.write_text("mode = power\nbeta = 1, 1, 0\nerror_law = log_normal(0,1)\n"
+                        "zero_coefs = 2\nbeta_grid = 1,1,0\ncompute_see = false\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:6: compute_see = 'false': read only in estimation mode")):
             load_config(path)
 
     def test_power_mode_requires_a_grid(self, tmp_path):

@@ -15,7 +15,6 @@ from relerr.solver import (
     fit_constrained_lpre,
     fit_gre,
     fit_lad_log,
-    fit_lare,
     fit_lpre,
     fit_ls_log,
 )
@@ -133,6 +132,13 @@ class TestConstrainedFit:
         np.testing.assert_allclose(basis.T @ basis, np.eye(hyp.p - hyp.q), rtol=0, atol=1e-15)
         np.testing.assert_allclose(hyp.h.T @ basis, 0.0, atol=1e-15)
 
+    def test_one_svd_per_hypothesis(self, monkeypatch):
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        hyp = LinearHypothesis.zero_coefs([1, 2], 4)
+        assert hyp.null_basis() is hyp.null_basis()
+        assert len(calls) == 1
+
     def test_full_constraint_returns_zero(self, rng):
         data, _ = random_dataset(rng, p=3)
         fit = fit_constrained_lpre(data, LinearHypothesis(np.eye(3)))
@@ -171,7 +177,7 @@ class TestGreFits:
 
     def test_lare_minimizes_sum_criterion(self, rng):
         data, _ = random_dataset(rng, n=50)
-        fit = fit_lare(data)
+        fit = fit_gre(SUM, data)
         assert fit.criterion == "sum"
         base = gre_loss(SUM, fit.beta, data)
         for _ in range(200):
@@ -271,6 +277,14 @@ def lad_minimum(data, weights, basis=None):
 
 
 class TestKinkedCertificates:
+    @pytest.mark.parametrize("cert", [math.inf, 5.0])
+    @pytest.mark.parametrize("criterion", [ASYMMETRIC, SUM], ids=["asymmetric", "sum"])
+    def test_infinite_rounding_floor_certifies_nothing(self, criterion, cert):
+        # sigma' overflows at a residual of 800, so the rounding floor is inf
+        batch = solver._Batch(criterion, np.ones((1, 1)), np.array([[800.0]]), np.ones((1, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not batch.certified(np.zeros((1, 1)), np.array([cert]))[0]
+
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name", sorted(KINKED))
     def test_kkt_holds(self, name, weighted):
@@ -337,7 +351,7 @@ class TestKinkedCertificates:
     def test_weighted_lare_that_stalled(self):
         # raised ConvergenceError with KKT residual 0.02
         data, w = weighted_problem(66, 6)
-        fit = fit_lare(data, weights=w)
+        fit = fit_gre(SUM, data, weights=w)
         assert fit.converged and fit.gradient_norm <= 1e-10
         assert kkt_residual("sum", fit.beta, data, w) <= 1e-8
 
@@ -354,7 +368,7 @@ class TestKinkedCertificates:
         data, _ = correlated_design()
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as info:
-            fit_lare(data)
+            fit_gre(SUM, data)
         assert info.value.result is not None
         assert info.value.result.gradient_norm > 1e-10
 
@@ -481,7 +495,7 @@ class TestBatchEqualsSingleFits:
         assert isinstance(fits[0], ConvergenceError)
         assert fits[0].result.gradient_norm > solver.TOL_GRADIENT
         with pytest.raises(ConvergenceError) as info:
-            fit_lare(datasets[0])
+            fit_gre(SUM, datasets[0])
         np.testing.assert_allclose(fits[0].result.beta, info.value.result.beta,
                                    rtol=0, atol=1e-10)
         alone = solver._fit_batch(SUM, x[1:], z[1:], w[1:])
