@@ -174,6 +174,8 @@ def cmd_predict(train_path, test_path, input_path, split, response, methods,
     if split is not None and (input_path is None or bodyfat):
         raise RelerrError("--split needs --input and no --bodyfat")
     if bodyfat:
+        if response is not None:
+            raise RelerrError("--response is not read with --bodyfat, which has its own columns")
         if input_path is None:
             raise RelerrError("--bodyfat requires --input")
         coef_rows, metric_rows = evaluate.bodyfat_pipeline(

@@ -248,7 +248,7 @@ def _criterion(kind) -> GreCriterion:
 
 def _resample(statistic, n: int, n_resample: int, rng, what: str):
     """statistic(w) over n_resample draws of i.i.d. standard exponential
-    weights, as one batch.
+    weights, all passed at once.
 
     ``statistic`` maps weights (B, n) to one entry per row: a value, or
     the RelerrError its fit raised.  A resample whose fit has no
@@ -285,12 +285,12 @@ def random_weight_covariance(
     """Random-weighting covariance of an estimator.
 
     ``estimator`` is a registry name ("lpre", "lare", "ls", ...) or a
-    criterion.  Re-minimizes the criterion n_resample times, as one
-    batch, with i.i.d. standard exponential (unit mean, unit variance)
-    per-observation weights and returns the empirical covariance of the
-    re-estimates.  A failed resample fit is retried once with fresh
-    weights, then skipped and counted in ``n_skipped``; more than 10%
-    skips aborts.
+    criterion.  Re-minimizes the criterion n_resample times, passed to
+    the solver at once, with i.i.d. standard exponential (unit mean, unit
+    variance) per-observation weights and returns the empirical
+    covariance of the re-estimates.  A failed resample fit is retried
+    once with fresh weights, then skipped and counted in ``n_skipped``;
+    more than 10% skips aborts.
     """
     criterion = _criterion(estimator)
     _require_residual_dof(data)
@@ -386,8 +386,8 @@ class Estimator:
         cov = _sandwich_stack(x, z, betas)[0] if self.covariance == "sandwich" \
             else _ols_stack(x, z, betas)
         se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-        return [SingularDesignError(_SINGULAR[self.covariance]) if np.isnan(c).any() else s
-                for c, s in zip(cov, se)]
+        return [SingularDesignError(_SINGULAR[self.covariance]) if singular else s
+                for singular, s in zip(np.isnan(cov).any(axis=(1, 2)), se)]
 
 
 #: every estimator, by the names the CLI, the study configs and the

@@ -11,8 +11,8 @@ straight into stacked designs and responses (the rejection sampler runs
 its accept test once per round for the whole chunk), then one stacked
 rank check, one batched fit per estimator, and the sandwich and OLS
 standard errors of the chunk as one stack; a random-weighting covariance
-is one batch of resamples per replication.  With ``n_jobs`` > 1 a
-process pool maps the chunks.
+passes its replication's resamples to the solver at once.  With
+``n_jobs`` > 1 a process pool maps the chunks.
 
 Determinism contract: the per-replication RNG stream is derived from
 (seed, replication index), and each replication draws its data and then,
@@ -95,8 +95,18 @@ class PowerRow:
     reject_rate: float
 
 
+def _words(k: int) -> list:
+    """The little-endian 32-bit words of k >= 0, [0] for 0."""
+    words = [k & 0xFFFF_FFFF]
+    while k := k >> 32:
+        words.append(k & 0xFFFF_FFFF)
+    return words
+
+
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, rep]))
+    """The stream of SeedSequence([seed, rep]), given its entropy as the one
+    uint32 array that SeedSequence would make of the list."""
+    return np.random.default_rng(np.array(_words(seed) + _words(rep), dtype=np.uint32))
 
 
 def _draw(config: SimulationConfig, rngs):

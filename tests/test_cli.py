@@ -482,6 +482,16 @@ class TestPredict:
         assert r.output.startswith("error: --split needs --input and no --bodyfat")
         assert not out.exists()
 
+    def test_bodyfat_with_response_exits_1(self, runner, tmp_path, data_csv):
+        # the body-fat pipeline reads its own columns; --response would be ignored
+        out = tmp_path / "results"
+        r = runner.invoke(main, ["predict", "--bodyfat", "--input", str(data_csv[0]),
+                                 "--response", "nonexistent_column", "--output", str(out)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.output == (
+            "error: --response is not read with --bodyfat, which has its own columns\n")
+        assert not out.exists()
+
     def test_requires_input_spec(self, runner, tmp_path):
         r = runner.invoke(main, [
             "predict", "--response", "y", "--output", str(tmp_path / "o.csv")])

@@ -2,6 +2,7 @@ import csv
 import logging
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,16 @@ class TestPowerStudy:
         assert a == b
 
 
+class TestRepStreams:
+    @pytest.mark.parametrize("rep", [0, 999, 2**32 + 5])
+    @pytest.mark.parametrize("seed", [0, 10, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_stream_is_that_of_the_seed_sequence_of_the_pair(self, seed, rep):
+        ours = simulate._rep_rng(seed, rep)
+        ref = np.random.default_rng(np.random.SeedSequence([seed, rep]))
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(ours.random(8), ref.random(8))
+
+
 class TestBatchingDeterminism:
     """The (seed, rep) contract holds for any batch size and worker count."""
 
@@ -406,6 +417,18 @@ class TestParsing:
             beta_true=(1.0, 1.0, 1.0), error_law=ErrorLaw.log_normal(0.0, 1.0), n=200,
             replications=1000, resample_size=500, estimators=("lpre", "ls"), seed=10,
             compute_see=True)}
+
+    def test_shipped_full_table1_config_runs(self):
+        # the paper's Table 1: its four methods, random-weighting SEs for lare and lad
+        out = load_config(Path(__file__).parents[1] / "configs" / "table1_full.cfg")
+        assert out == {"mode": "estimation", "config": SimulationConfig(
+            beta_true=(1.0, 1.0, 1.0), error_law=ErrorLaw.log_normal(0.0, 1.0), n=200,
+            replications=1000, resample_size=500, estimators=("lpre", "lare", "ls", "lad"),
+            seed=10, compute_see=True)}
+        rows = run_estimation_study(replace(out["config"], replications=2))
+        assert [(row.estimator, row.coef) for row in rows] == [
+            (name, j) for name in ("lpre", "lare", "ls", "lad") for j in range(3)]
+        assert all(math.isfinite(row.se) and row.see > 0 for row in rows)
 
     def test_load_readme_power_example(self, tmp_path):
         path = tmp_path / "power.cfg"

@@ -9,6 +9,7 @@ from relerr.criteria import ASYMMETRIC, CRITERIA, MAX, PRODUCT, SUM, gre_loss
 from relerr import solver
 from relerr.data import Dataset
 from relerr.errors import ConvergenceError, SingularDesignError
+from relerr.inference import random_weight_covariance
 from relerr.solver import (
     LinearHypothesis,
     check_design,
@@ -448,7 +449,8 @@ class TestBatchEqualsSingleFits:
         fits = solver._fit_batch(CRITERIA[name], data.x, z, w)
         for weights, fit in zip(w, fits):
             single = fit_gre(CRITERIA[name], data, weights=weights)
-            np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
+            # each row's products are those of its fit alone, bit for bit
+            np.testing.assert_array_equal(fit.beta, single.beta)
             assert fit.gradient_norm <= solver.TOL_GRADIENT
 
     @pytest.mark.parametrize("p", [3, 13])
@@ -480,7 +482,7 @@ class TestBatchEqualsSingleFits:
         assert events | {"flat face" if name == "lad_log" else "hit"} <= seen
         for dataset, weights, fit in zip([data] * 20 + [exact], w, fits):
             single = fit_gre(CRITERIA[name], dataset, weights=weights)
-            np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(fit.beta, single.beta)
             assert fit.gradient_norm <= solver.TOL_GRADIENT
 
     def test_uncertified_row_is_reported_alone(self, monkeypatch):
@@ -502,3 +504,61 @@ class TestBatchEqualsSingleFits:
         for fit, ref in zip(fits[1:], alone):
             assert fit.converged
             np.testing.assert_array_equal(fit.beta, ref.beta)
+
+
+class TestSharedDesignBatches:
+    """Random weighting on a correlated design of the body-fat shape (n = 200,
+    p = 13): the covariance does not depend on how the resamples are batched,
+    with the Hessians from the design's table of x_i x_i' or, where a table
+    would be too large for it, by batched matmul."""
+
+    @pytest.mark.parametrize("tabled", [True, False], ids=["table", "matmul"])
+    @pytest.mark.parametrize("name", ["lpre", "lare", "lad", "gre:max", "gre:asym"])
+    def test_covariance_equal_for_any_batching(self, name, tabled, monkeypatch):
+        data, _ = correlated_design()
+        if not tabled:
+            monkeypatch.setattr(solver, "_MMAP_THRESHOLD", 0)
+        assert solver._tabled(data.x) == tabled
+        per_problem = max(data.n, data.p ** 2) if tabled else data.n * data.p
+        covs = []
+        for rows in (1, 7, 30):  # 30: every resample in one batch
+            monkeypatch.setattr(solver, "_BATCH_ELEMENTS", rows * per_problem)
+            assert solver._batch_size(data.n, data.p, tabled) == rows
+            covs.append(random_weight_covariance(name, data, 30, np.random.default_rng(5)).cov)
+        assert np.array_equal(covs[0], covs[2]) and np.array_equal(covs[1], covs[2])
+
+
+class TestBatchBudget:
+    """Every array of a batch stays within the mmap threshold that ``solver``
+    sets at import, so the studies and random weighting reuse heap blocks
+    instead of taking fresh pages from the kernel."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["stacked", "shared"])
+    @pytest.mark.parametrize("n, p", [(200, 3), (200, 13), (251, 13), (60, 3), (2000, 13)])
+    def test_arrays_within_threshold(self, n, p, shared, monkeypatch):
+        seen = []  # per Newton step: (problems in the batch, bytes of its largest array)
+        parts = solver._Batch.parts
+
+        def parts_(batch, beta, eps):
+            out = parts(batch, beta, eps)
+            # the batch's arrays (the table of a shared design among them)
+            # and the step's value, gradient, Hessian and residuals; without
+            # a table, (B, n, p) is also the size of the temporary x * s of
+            # the Hessians
+            arrays = [a for a in (*vars(batch).values(), *out) if isinstance(a, np.ndarray)]
+            if batch.outer is None:
+                arrays.append(np.broadcast_to(batch.x, (len(batch.z), n, p)))
+            seen.append((len(batch.z), max(a.nbytes for a in arrays)))
+            return out
+
+        monkeypatch.setattr(solver._Batch, "parts", parts_)
+        size = solver._batch_size(n, p, shared and solver._tabled(np.empty((n, p))))
+        rng = np.random.default_rng(n + p)
+        x = np.concatenate([np.ones((size + 1, n, 1)),
+                            rng.standard_normal((size + 1, n, p - 1))], axis=2)
+        z = x @ np.full(p, 0.1) + rng.standard_normal((size + 1, n))
+        w = rng.standard_exponential(z.shape)
+        fits = solver._fit_batch(PRODUCT, x[0] if shared else x, z, w)  # a full batch and one more
+        assert all(fit.converged for fit in fits)
+        assert max(problems for problems, _ in seen) == size
+        assert max(largest for _, largest in seen) <= solver._MMAP_THRESHOLD
