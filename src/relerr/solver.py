@@ -34,22 +34,13 @@ criterion overflows there, from the intercept alone at max log y.
 
 The Newton loop works on a batch: B problems of one shape (n, p), each
 with its own design (or one design shared by all), log y and weights.
-It forms (B, p, p) Hessians and takes batched solves; every problem
-keeps its own smoothing stage, line search, overflow restart,
-certificate and iteration count, and is frozen once it is done, so it
-ends where it would have ended alone.  Each problem's arithmetic is that
-of its fit alone, whatever else is in the batch: every product over a
-batch is one matrix product per problem, never one GEMM over all of
-them, as BLAS blocks a GEMM's rows together and their sums then differ
-in the last bits.  Stacked designs (B, n, p) take their Hessians by
-batched matmul.  A shared design (n, p) takes them from its (n, p^2)
-table of x_i x_i', one matrix-vector product per problem, and so builds
-no (B, n, p) temporary -- where that table stays within the mmap
-threshold (``_tabled``); a larger one is slower than the batched matmul,
-which such a design keeps.  The Monte Carlo studies and random weighting
-fit their replications and resamples this way, in batches sized by the
-largest array a batch allocates (``_batch_size``); the public ``fit_*``
-functions are the batch of one.
+It forms (B, p, p) Hessians by batched matmul and takes batched solves;
+every problem keeps its own smoothing stage, line search, overflow
+restart, certificate and iteration count, and is frozen once it is done,
+so it ends where it would have ended alone.  The Monte Carlo studies and
+random weighting fit their replications and resamples this way, in
+batches sized by the largest array a batch allocates, (B, n, p)
+(``_batch_size``); the public ``fit_*`` functions are the batch of one.
 """
 
 from __future__ import annotations
@@ -212,28 +203,18 @@ np.empty(_MMAP_THRESHOLD, dtype=np.uint8)
 #: KiB, well below the threshold above, so a batch's arrays come from the
 #: heap.  Larger batches pay the Newton loop's per-step overhead fewer
 #: times: at n = 200, p = 3 a study chunk holds 80 replications, and with
-#: the 26 of a 16,000 budget a Table 1 study op took 15-20% longer.  The
-#: peak memory of a study grows with the budget (2.3 MB more than at
+#: the 26 of a 16,000 budget a Table 1 study op took 20-25% longer.  The
+#: peak memory of a study grows with the budget (2.2-2.7 MB more than at
 #: 16,000 for a Table 1 or power study).
 _BATCH_ELEMENTS = 48_000
 
 
-def _tabled(x: np.ndarray) -> bool:
-    """Whether a batch on design ``x`` takes its Hessians from the design's
-    (n, p^2) table of x_i x_i': a shared design whose table stays within
-    the mmap threshold.  A larger table outgrows the caches, and a product
-    per problem that reads all of it costs more than the batched matmul
-    (at p = 13, 0.9 times as much at n = 1,000 and 1.5 times at n = 2,000)."""
-    return x.ndim == 2 and 8 * x.shape[0] * x.shape[1] ** 2 <= _MMAP_THRESHOLD
-
-
-def _batch_size(n: int, p: int, tabled: bool = False) -> int:
+def _batch_size(n: int, p: int) -> int:
     """How many problems of shape (n, p) go into one batch: as many as keep
-    its largest array within ``_BATCH_ELEMENTS``.  That is (B, n, p): the
+    its largest array, (B, n, p), within ``_BATCH_ELEMENTS``.  That is the
     designs of a stack, or the temporary x * s of the Hessians of a shared
-    design.  A ``tabled`` design makes neither, and its largest are the
-    (B, n) residuals and weights or the (B, p^2) Hessians."""
-    return max(1, _BATCH_ELEMENTS // (max(n, p * p) if tabled else n * p))
+    design; every other array of the batch is no larger, as p <= n."""
+    return max(1, _BATCH_ELEMENTS // (n * p))
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,22 +254,18 @@ class _Batch:
     smoothed and face versions.
 
     ``x`` is (B, n, p), or (n, p) for problems that share one design;
-    ``outer`` is its (n, p^2) table of x_i x_i' where ``_tabled(x)``, else
-    None; ``z`` and ``w`` are (B, n).  Methods evaluate every problem at its
-    beta (k, p) and smoothing width eps (k,), or where ``face`` is set on its
-    face: ``side`` holds each residual's side of the kink, 0 on S (NaN off a face),
+    ``z`` and ``w`` are (B, n).  Methods evaluate every problem at its beta
+    (k, p) and smoothing width eps (k,), or where ``face`` is set on its face:
+    ``side`` holds each residual's side of the kink, 0 on S (NaN off a face),
     and ``basis`` a basis of the face padded with zero columns.  Overflow gives
     inf or NaN; callers run under ``np.errstate(over="ignore", invalid="ignore")``.
     """
 
-    def __init__(self, criterion: GreCriterion, x, z, w, side=None, basis=None, outer=None):
+    def __init__(self, criterion: GreCriterion, x, z, w, side=None, basis=None):
         self.criterion = criterion
         self.kink = criterion.kink
         self.sigma = criterion.sigma
         self.x, self.z, self.w = x, z, w
-        if outer is None and _tabled(x):
-            outer = (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)
-        self.outer = outer
         self.side = np.full(z.shape, np.nan) if side is None else side  # no face yet
         self.basis = np.zeros((len(z), x.shape[-1], x.shape[-1])) if basis is None else basis
         self.faces_changed()
@@ -299,8 +276,7 @@ class _Batch:
 
     def subset(self, rows) -> "_Batch":
         return _Batch(self.criterion, self.x if self.x.ndim == 2 else self.x[rows],
-                      self.z[rows], self.w[rows], self.side[rows], self.basis[rows],
-                      self.outer)
+                      self.z[rows], self.w[rows], self.side[rows], self.basis[rows])
 
     def _residuals(self, beta):
         return self.z - _matvec(self.x, beta)
@@ -336,29 +312,12 @@ class _Batch:
             grad[self.face] = _matvec(np.swapaxes(self.basis[self.face], 1, 2), grad[self.face])
         return (self.w * value).sum(axis=1), grad, r, d2
 
-    def gram(self, s):
-        """sum_i s_bi x_bi x_bi' for each row b of s (k, n): one product per
-        row on a shared design's table, else a batched matmul."""
-        x = self.x
-        if self.outer is None:
-            return np.swapaxes(x, -1, -2) @ (x * s[:, :, None])
-        return (s[:, None, :] @ self.outer).reshape(len(s), x.shape[1], x.shape[1])
-
-    def least_squares(self):
-        """Each row's weighted least-squares fit of z on x: X'WX from the
-        table where there is one, else products in the order (x_ij w_i) x_ik,
-        to which the studies' results are pinned bit for bit."""
-        x, z, w = self.x, self.z, self.w
-        if self.outer is not None:
-            return _solve(self.gram(w), _matvec(x.T, w * z))
-        xtw = np.swapaxes(x, -1, -2) * w[:, None, :]
-        return _solve(xtw @ x, _matvec(xtw, z))
-
     def parts(self, beta, eps):
         """(value, gradient, Hessian, residuals) of every row's stage at its
         beta, a face row's gradient within its face; inf or NaN on overflow."""
         value, grad, r, d2 = self._derivatives(beta, eps)
-        return value, grad, self.gram(self.w * d2), r
+        x = self.x
+        return value, grad, np.swapaxes(x, -1, -2) @ (x * (self.w * d2)[:, :, None]), r
 
     def _gather(self, on, m):
         """(x, at, used): the design rows of each row's residuals in ``on``
@@ -583,7 +542,7 @@ def _fit_batch(
     p = x.shape[-1]
     if not count:
         return []
-    size = _batch_size(n, p, _tabled(x))
+    size = _batch_size(n, p)
     if count > size:
         return [fit for s in range(0, count, size) for fit in _fit_batch(
             criterion, x if x.ndim == 2 else x[s:s + size], z[s:s + size],
@@ -595,8 +554,10 @@ def _fit_batch(
                     for v in value]
         x = x @ basis
     batch = _Batch(criterion, x, z, w)
+    xtw = np.swapaxes(x, -1, -2) * w[:, None, :]
+    start = _solve(xtw @ x, _matvec(xtw, z))  # weighted least squares
     with np.errstate(over="ignore", invalid="ignore"):
-        coef, value, iterations, cert, overflow = _minimize(batch, batch.least_squares())
+        coef, value, iterations, cert, overflow = _minimize(batch, start)
         if overflow.any():
             # The asymmetric row grows like exp(e^r) and overflows for
             # r > 6.6; start again on the intercept alone at max log y,
