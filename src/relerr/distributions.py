@@ -219,14 +219,18 @@ class Sampler:
         return out[0] if single else out
 
     def _accept(self, rngs, out):
-        """Fill row b of ``out`` by rejection from stream b.
+        """Fill row b of ``out`` (C-contiguous) by rejection from stream b.
 
         Per round, a stream that still needs k draws proposes
         m = max(2k, 64): normal(m), then uniform(m), from its own stream,
-        and keeps its first accepted proposals in order.
+        and keeps its first accepted proposals in order.  Each stream draws
+        its proposals straight into its row of the block, as standard
+        normals scaled by sigma with the block (normal(0, sigma) is
+        0 + sigma z, bit for bit) and as random() (uniform() is 0 + 1 d).
         """
         sigma, bound = self._env_sigma, self._env_bound
         size = out.shape[1]
+        flat = out.reshape(-1)
         filled = np.zeros(len(rngs), dtype=np.intp)
         live = np.flatnonzero(filled < size)
         while live.size:
@@ -236,16 +240,20 @@ class Sampler:
             # which the mask below never accepts
             r = np.zeros((live.size, m.max()))
             u = np.zeros_like(r)
-            for row, b, k in zip(range(live.size), live, m):
-                r[row, :k] = rngs[b].normal(0.0, sigma, k)
-                u[row, :k] = rngs[b].uniform(size=k)
+            for r_row, u_row, b, k in zip(r, u, live, m):
+                rngs[b].standard_normal(out=r_row[:k])
+                rngs[b].random(out=u_row[:k])
+            r *= sigma
             envelope = bound * np.exp(-0.5 * (r / sigma) ** 2)
             accepted = (u * envelope <= _weight(self.law.kind, r)) \
                 & (np.arange(r.shape[1]) < m[:, None])
             rank = np.cumsum(accepted, axis=1)
-            rows, cols = np.nonzero(accepted & (rank <= need[:, None]))
-            out[live[rows], filled[live[rows]] + rank[rows, cols] - 1] = np.exp(r[rows, cols])
-            filled[live] += np.minimum(rank[:, -1], need)
+            taken = np.minimum(rank[:, -1], need)
+            # a stream's kept proposals, in order, fill its row from where it stands
+            start = live * size + filled[live] - (np.cumsum(taken) - taken)
+            flat[np.repeat(start, taken) + np.arange(taken.sum())] = np.exp(
+                r[accepted & (rank <= need[:, None])])
+            filled[live] += taken
             live = live[filled[live] < size]
 
 

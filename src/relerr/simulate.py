@@ -6,19 +6,21 @@ and aggregates bias / Monte Carlo SE / mean estimated SE / coverage, or
 rejection rates of the criterion-difference test over a grid of true
 coefficient vectors.
 
-Each chunk is drawn and fitted as one batch: the replications' data go
-straight into stacked designs and responses (the rejection sampler runs
-its accept test once per round for the whole chunk), then one stacked
+Each chunk is drawn and fitted as one batch: its streams are seeded in
+one pass (``_rep_rngs``), the replications' data go straight into
+stacked designs and responses (the rejection sampler runs its accept
+test once per round for the whole chunk), then one stacked
 rank check, one batched fit per estimator, and the sandwich and OLS
 standard errors of the chunk as one stack; a random-weighting covariance
 passes its replication's resamples to the solver at once.  With
 ``n_jobs`` > 1 a process pool maps the chunks.
 
-Determinism contract: the per-replication RNG stream is derived from
-(seed, replication index), and each replication draws its data and then,
-in estimator order, its random weights from it, so results are identical
-for any chunking, execution order or worker count.  Failed replications
-are skipped and logged as one warning on the ``relerr`` logger.
+Determinism contract: the per-replication RNG stream is that of
+numpy's SeedSequence([seed, replication index]), and each replication
+draws its data and then, in estimator order, its random weights from it,
+so results are identical for any chunking, execution order or worker
+count.  Failed replications are skipped and logged as one warning on
+the ``relerr`` logger.
 """
 
 from __future__ import annotations
@@ -95,18 +97,103 @@ class PowerRow:
     reject_rate: float
 
 
-def _words(k: int) -> list:
-    """The little-endian 32-bit words of k >= 0, [0] for 0."""
-    words = [k & 0xFFFF_FFFF]
-    while k := k >> 32:
-        words.append(k & 0xFFFF_FFFF)
-    return words
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx):
+# its hash multipliers run from _INIT_A by _MULT_A while it mixes entropy
+# into a pool of 4 words, and from _INIT_B by _MULT_B while it draws state.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    """The stream of SeedSequence([seed, rep]), given its entropy as the one
-    uint32 array that SeedSequence would make of the list."""
-    return np.random.default_rng(np.array(_words(seed) + _words(rep), dtype=np.uint32))
+def _multipliers(init: int, mult: int, count: int) -> np.ndarray:
+    """init, init * mult, init * mult^2, ... (count + 1 of them) mod 2^32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFF_FFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hash(values, consts, at):
+    """SeedSequence's hashmix of uint32 ``values`` by the multipliers
+    consts[at] and consts[at + 1]; ``at`` may be an array, broadcast along
+    the last axis of ``values``."""
+    v = (values ^ consts[at]) * consts[at + 1]
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    v = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return v ^ (v >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """The PCG64 state words (k, 4) of SeedSequence(e).generate_state(4,
+    uint64) for each row e of ``entropy`` (k, m) uint32: its pool mixed as
+    SeedSequence mixes it, for every row at once."""
+    m = entropy.shape[1]
+    a = _multipliers(_INIT_A, _MULT_A, _POOL * max(m, _POOL))
+    pool = np.zeros((len(entropy), _POOL), dtype=np.uint32)
+    pool[:, :min(m, _POOL)] = entropy[:, :_POOL]
+    pool = _hash(pool, a, np.arange(_POOL))
+    at = _POOL
+    for src in range(_POOL):  # every word into every other, in order
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], a, at + np.arange(_POOL - 1)))
+        at += _POOL - 1
+    for src in range(_POOL, m):  # entropy beyond the pool, into every word
+        pool = _mix(pool, _hash(entropy[:, src, None], a, at + np.arange(_POOL)))
+        at += _POOL
+    words = _hash(pool[:, np.arange(8) % _POOL], _multipliers(_INIT_B, _MULT_B, 8), np.arange(8))
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _State:
+    """A seed sequence that hands a bit generator the state words it holds
+    (registered as numpy's ISeedSequence by ``_pcg64``)."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+@functools.cache
+def _pcg64():
+    """numpy.random's Generator and PCG64, with ``_State`` registered as a
+    seed sequence: loaded on first use, so that ``import relerr`` does not
+    load numpy.random (about 10 ms of start-up)."""
+    from numpy.random import PCG64, Generator, bit_generator
+
+    bit_generator.ISeedSequence.register(_State)
+    return Generator, PCG64
+
+
+def _width(k: int) -> int:
+    """How many 32-bit words SeedSequence makes of k >= 0 (one for 0)."""
+    return max(1, -(-k.bit_length() // 32))
+
+
+def _words(k: int, count: int) -> list:
+    """The first ``count`` little-endian 32-bit words of k >= 0."""
+    return [k >> 32 * j & 0xFFFF_FFFF for j in range(count)]
+
+
+def _rep_rngs(seed: int, reps) -> list:
+    """The streams of SeedSequence([seed, rep]) for each rep of ``reps``,
+    seeded in one pass over the chunk per entropy length: the reps below
+    2^32 make one group, those below 2^64 the next, and so on."""
+    generator, pcg64 = _pcg64()
+    reps = list(reps)
+    width = [_width(rep) for rep in reps]
+    rngs = [None] * len(reps)
+    for count in set(width):
+        group = [i for i, w in enumerate(width) if w == count]
+        entropy = np.array([_words(seed, _width(seed)) + _words(reps[i], count) for i in group],
+                           dtype=np.uint32)
+        for i, words in zip(group, _seed_states(entropy)):
+            rngs[i] = generator(pcg64(_State(words)))
+    return rngs
 
 
 def _draw(config: SimulationConfig, rngs):
@@ -117,10 +204,10 @@ def _draw(config: SimulationConfig, rngs):
     drawn alone would; x and y are checked as a Dataset checks them.
     """
     n, p = config.n, config.p
-    x = np.empty((len(rngs), n, p))
-    x[:, :, 0] = 1.0
-    for xb, rng in zip(x, rngs):
-        xb[:, 1:] = rng.standard_normal((n, p - 1))
+    covariates = np.empty((len(rngs), n, p - 1))
+    for block, rng in zip(covariates, rngs):
+        rng.standard_normal(out=block)
+    x = np.concatenate([np.ones((len(rngs), n, 1)), covariates], axis=2)
     eps = Sampler(config.error_law).draw(rngs, n)
     y = np.exp(x @ np.asarray(config.beta_true)) * eps
     _check_values(x, y)
@@ -137,7 +224,7 @@ def generate_dataset(config: SimulationConfig, rng: np.random.Generator) -> Data
 def _draw_chunk(config: SimulationConfig, reps):
     """Each replication's RNG stream, and its dataset stacked into designs
     x (B, n, p), responses y (B, n) and log responses z (B, n)."""
-    rngs = [_rep_rng(config.seed, rep) for rep in reps]
+    rngs = _rep_rngs(config.seed, reps)
     x, y = _draw(config, rngs)
     return rngs, x, y, np.log(y)
 

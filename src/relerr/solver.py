@@ -37,10 +37,14 @@ with its own design (or one design shared by all), log y and weights.
 It forms (B, p, p) Hessians by batched matmul and takes batched solves;
 every problem keeps its own smoothing stage, line search, overflow
 restart, certificate and iteration count, and is frozen once it is done,
-so it ends where it would have ended alone.  The Monte Carlo studies and
-random weighting fit their replications and resamples this way, in
-batches sized by the largest array a batch allocates, (B, n, p)
-(``_batch_size``); the public ``fit_*`` functions are the batch of one.
+so it ends where it would have ended alone.  Without a kink each point
+is evaluated once: a line search's first trial is evaluated with its
+derivatives, which a problem that accepts it carries to its next step,
+and a problem whose certificate holds leaves before its Hessian.  The
+Monte Carlo studies and random weighting fit their replications and
+resamples this way, in batches sized by the largest array a batch
+allocates, (B, n, p) (``_batch_size``); the public ``fit_*`` functions
+are the batch of one.
 """
 
 from __future__ import annotations
@@ -302,6 +306,8 @@ class _Batch:
         return (self.w * value).sum(axis=1)
 
     def _derivatives(self, beta, eps):
+        """(value, gradient, residuals, rho'') of every row's stage at its
+        beta, a face row's gradient within its face; inf or NaN on overflow."""
         r = self._residuals(beta)
         value, d1, d2 = self.sigma(r)
         if self.kink:
@@ -312,12 +318,10 @@ class _Batch:
             grad[self.face] = _matvec(np.swapaxes(self.basis[self.face], 1, 2), grad[self.face])
         return (self.w * value).sum(axis=1), grad, r, d2
 
-    def parts(self, beta, eps):
-        """(value, gradient, Hessian, residuals) of every row's stage at its
-        beta, a face row's gradient within its face; inf or NaN on overflow."""
-        value, grad, r, d2 = self._derivatives(beta, eps)
+    def hessians(self, d2):
+        """Every row's Hessian from its rho'' (k, n); the temporary x * s is (k, n, p)."""
         x = self.x
-        return value, grad, np.swapaxes(x, -1, -2) @ (x * (self.w * d2)[:, :, None]), r
+        return np.swapaxes(x, -1, -2) @ (x * (self.w * d2)[:, :, None])
 
     def _gather(self, on, m):
         """(x, at, used): the design rows of each row's residuals in ``on``
@@ -369,36 +373,78 @@ class _Batch:
         return ok
 
 
-def _line_search(batch: _Batch, search, beta, value, grad, step, slope, eps, cap):
+def _line_search(batch: _Batch, search, beta, parts, step, slope, eps, cap):
     """Armijo backtracking along each row's step, t = t0, t0/2, ... (80
     tries) from t0 = min(1, cap), for the rows of ``batch`` where
-    ``search`` is set.  Returns every row's beta, moved to the accepted
-    points, and the t accepted for each row, NaN where none was."""
+    ``search`` is set; ``parts`` is each row's (value, gradient, residuals,
+    rho'') at beta.  Returns every row's beta, moved to the accepted points;
+    the t accepted for each row, NaN where none was; ``parts``, with the
+    rows that accepted their first trial moved there; and the mask of those
+    rows, or None for a criterion with a kink.
+
+    Without a kink the first trial is evaluated with its derivatives: damped
+    Newton on a smooth convex criterion nearly always accepts t = 1 (every
+    line search of the Table 1 and power studies does), and then the next
+    step needs only its Hessian.  With one the trials take the value alone,
+    as smoothed and face steps backtrack far more often (a body-fat fit's
+    LAD and LARE smoothing steps accept t = 1 about a third of the time)."""
+    value, grad = parts[:2]
     # Below the rounding noise of the value the Armijo test is
     # meaningless, so such a row backtracks on the gradient norm instead.
     noisy = np.abs(slope) <= 1e-10 * (1.0 + np.abs(value))
     merit = _norm(grad)
     beta, t, accepted_t = beta.copy(), np.minimum(1.0, cap), np.full(len(beta), np.nan)
+    moved = None if batch.kink else np.zeros(len(beta), dtype=bool)
+    first = moved is not None  # this trial is the first, evaluated with its derivatives
     # the rows still searching (a slice while that is every row), and their batch
     rows, trying = (slice(None), batch) if search.all() else (
         np.flatnonzero(search), batch.subset(np.flatnonzero(search)))
     for _ in range(80):
         cand = beta[rows] + t[rows, None] * step[rows]
         by_norm = noisy[rows]
-        if by_norm.any():
-            ok = _norm(trying._derivatives(cand, eps[rows])[1]) < merit[rows]
-        if not by_norm.all():
-            armijo = trying.value(cand, eps[rows]) <= value[rows] + ARMIJO_C * t[rows] * slope[rows]
-            ok = np.where(by_norm, ok, armijo) if by_norm.any() else armijo
+        if first:
+            at = trying._derivatives(cand, eps[rows])
+            ok = np.where(by_norm, _norm(at[1]) < merit[rows],
+                          at[0] <= value[rows] + ARMIJO_C * t[rows] * slope[rows])
+        else:
+            if by_norm.any():
+                ok = _norm(trying._derivatives(cand, eps[rows])[1]) < merit[rows]
+            if not by_norm.all():
+                armijo = trying.value(cand, eps[rows]) <= value[rows] + ARMIJO_C * t[rows] * slope[rows]
+                ok = np.where(by_norm, ok, armijo) if by_norm.any() else armijo
         if ok.all():
             beta[rows], accepted_t[rows] = cand, t[rows]
+            if first:
+                if isinstance(rows, slice):
+                    return beta, accepted_t, at, search
+                for kept, now in zip(parts, at):
+                    kept[rows] = now
+                moved[rows] = True
             break
         if ok.any():
             rows = np.arange(len(beta))[rows]
             beta[rows[ok]], accepted_t[rows[ok]] = cand[ok], t[rows[ok]]
+            if first:
+                for kept, now in zip(parts, at):
+                    kept[rows[ok]] = now[ok]
+                moved[rows[ok]] = True
             rows, trying = rows[~ok], trying.subset(np.flatnonzero(~ok))
+        first = False
         t = t * 0.5
-    return beta, accepted_t
+    return beta, accepted_t, parts, moved
+
+
+def _evaluate(batch: _Batch, beta, eps, parts, known):
+    """Each row's (value, gradient, residuals, rho'') at its beta and eps:
+    ``parts`` where ``known`` is set, afresh elsewhere (everywhere if
+    ``known`` is None)."""
+    if known is None or not known.any():
+        return batch._derivatives(beta, eps)
+    if not known.all():
+        rows = np.flatnonzero(~known)
+        for kept, now in zip(parts, batch.subset(rows)._derivatives(beta[rows], eps[rows])):
+            kept[rows] = now
+    return parts
 
 
 def _minimize(batch: _Batch, beta: np.ndarray):
@@ -413,7 +459,13 @@ def _minimize(batch: _Batch, beta: np.ndarray):
     as for LAD, the step runs down the gradient to that kink, as a simplex
     pivot does.  Then the multipliers of S come by least squares: a row with
     one outside [-1, 1] drops it and stays on the face, and otherwise the KKT
-    residual is its certificate.  A row needing over ``MAX_ITERATIONS`` faces fails.
+    residual is its certificate.  A face with no free direction (|S| = p)
+    takes no step, so its multipliers come right after its projection.  A
+    row needing over ``MAX_ITERATIONS`` faces fails.
+
+    A smooth row evaluates each point once: if it accepts the first trial of
+    its line search it carries that trial's derivatives to its next step
+    (see ``_line_search``), and it leaves before its Hessian once certified.
 
     Returns (beta, value, iterations, certificate, overflow) per row, where
     ``overflow`` marks the rows whose criterion overflowed at the start of
@@ -431,31 +483,44 @@ def _minimize(batch: _Batch, beta: np.ndarray):
     iterations = np.zeros(count, dtype=int)
     # the faces of the current finish, and where the smoothing stage before it ended
     faces, smoothed = np.zeros(count, dtype=int), beta.copy()
+    # (value, gradient, residuals, rho'') of each row at its point, stage and
+    # face, known where ``known`` is set: where a smooth row accepted the
+    # first trial of its line search, which evaluated them
+    parts = known = None
     while True:
         # every running row is at a new point, in a new stage or on a new face
         eps = stages[stage]
-        value, grad, hess, r = batch.parts(beta, eps)
+        parts = _evaluate(batch, beta, eps, parts, known)
+        value, grad, r, d2 = parts
         face, on_face = batch.face, batch.on_face
-        cert = np.full(len(beta), np.inf) if batch.kink else _norm(grad)
         overflow = ~(value < np.inf)
-        if overflow.any():  # such a row ends here; keep its step finite
-            hess[overflow], grad[overflow] = np.eye(p), 0.0
         ended = overflow | (taken >= MAX_ITERATIONS)
         flat = np.zeros(len(beta), dtype=bool)
-        if on_face:  # Newton steps in the coordinates g of beta + basis @ g
-            basis = batch.basis[face]
-            curv = np.swapaxes(basis, 1, 2) @ hess[face] @ basis
-            flat[face] = ~curv.any(axis=(1, 2))
-            # identity curvature in the padded directions, and on a flat face,
-            # whose step is then down the gradient
-            hess[face] = curv + np.eye(p) * (~basis.any(axis=1) | flat[face, None])[:, None, :]
-            ended |= face & (_norm(grad) <= 1e-2 * TOL_GRADIENT)
-        step = _solve(hess, -grad)
-        slope = (grad * step).sum(axis=1)
         if batch.kink:
+            cert = np.full(len(beta), np.inf)
+            hess = batch.hessians(d2)
+            if overflow.any():  # such a row ends here; keep its step finite
+                hess[overflow], grad[overflow] = np.eye(p), 0.0
+            if on_face:  # Newton steps in the coordinates g of beta + basis @ g
+                basis = batch.basis[face]
+                curv = np.swapaxes(basis, 1, 2) @ hess[face] @ basis
+                flat[face] = ~curv.any(axis=(1, 2))
+                # identity curvature in the padded directions, and on a flat face,
+                # whose step is then down the gradient
+                hess[face] = curv + np.eye(p) * (~basis.any(axis=1) | flat[face, None])[:, None, :]
+                ended |= face & (_norm(grad) <= 1e-2 * TOL_GRADIENT)
+            step = _solve(hess, -grad)
+            slope = (grad * step).sum(axis=1)
             ended |= ~face & (-slope <= eps)
-        else:  # one stage, which ends once certified
+        else:  # one stage, which ends once certified: before the row's Hessian
+            cert = _norm(grad)
             ended |= cert <= TOL_GRADIENT
+            step = np.zeros_like(grad)
+            if not ended.all():
+                going = ~ended
+                stepping = batch if going.all() else batch.subset(np.flatnonzero(going))
+                step[going] = _solve(stepping.hessians(d2[going]), -grad[going])
+            slope = (grad * step).sum(axis=1)
         go = ~ended
         cap, hit = np.full(len(beta), np.inf), np.zeros(len(beta), dtype=bool)  # hit: at a kink
         if on_face:
@@ -473,7 +538,7 @@ def _minimize(batch: _Batch, beta: np.ndarray):
         taken += go
         search = go & ~flat
         if search.any():
-            beta, t = _line_search(batch, search, beta, value, grad, step, slope, eps, cap)
+            beta, t, parts, known = _line_search(batch, search, beta, parts, step, slope, eps, cap)
             ended |= search & np.isnan(t)
             hit |= t == cap
         done = overflow & ~face if batch.kink else ended  # a face row's finish fails instead
@@ -490,28 +555,40 @@ def _minimize(batch: _Batch, beta: np.ndarray):
                     batch.faces_changed()
             if on_face:
                 batch.side[hit, nearest[hit]] = 0.0
-                # a row whose steps on its face ended gets the multipliers of S
-                check = np.flatnonzero(ended & face)
-                if check.size:
-                    kkt, u, residual = batch.subset(check).multipliers(beta[check])
-                    worst = (np.arange(check.size), np.abs(u).argmax(axis=1))
+            # a row whose steps on its face ended gets the multipliers of S
+            check, reset = ended & face, ended
+            while True:
+                if check.any():
+                    rows = np.flatnonzero(check)
+                    kkt, u, residual = batch.subset(rows).multipliers(beta[rows])
+                    worst = (np.arange(rows.size), np.abs(u).argmax(axis=1))
                     largest = np.abs(u[worst])
-                    cert[check] = np.where(largest <= 1.0, kkt, np.nan)  # NaN certifies nothing
+                    cert[rows] = np.where(largest <= 1.0, kkt, np.nan)  # NaN certifies nothing
                     drop = (largest > 1.0) & np.isfinite(kkt)
-                    batch.side[check[drop], residual[worst][drop]] = np.sign(u[worst][drop])
-                    hit[check[drop]] = True
-                finished = ended & face & ~hit | hit & (faces >= MAX_ITERATIONS)
-                hit &= ~finished
-                end = np.flatnonzero(finished)
-                done[end] |= (stage[end] == last) | batch.subset(end).certified(beta[end], cert[end])
-                back = finished & ~done  # to the next stage, from where the last one ended
-                beta[back], stage[back], batch.side[back] = smoothed[back], stage[back] + 1, np.nan
-                batch.faces_changed()
-            project = np.flatnonzero(enter | hit)
-            if project.size:
+                    batch.side[rows[drop], residual[worst][drop]] = np.sign(u[worst][drop])
+                    hit[rows[drop]] = True
+                if check.any() or hit.any():
+                    finished = check & ~hit | hit & (faces >= MAX_ITERATIONS)
+                    hit &= ~finished
+                    end = np.flatnonzero(finished)
+                    done[end] |= (stage[end] == last) | batch.subset(end).certified(beta[end], cert[end])
+                    back = finished & ~done  # to the next stage, from where the last one ended
+                    beta[back], stage[back], batch.side[back] = smoothed[back], stage[back] + 1, np.nan
+                    batch.faces_changed()
+                taken[reset | hit] = 0
+                project = np.flatnonzero(enter | hit)
+                if not project.size:
+                    break
                 beta[project], batch.basis[project] = batch.subset(project).project(beta[project])
                 faces[project] += 1
-            taken[ended | hit] = 0
+                # a face with no free direction (|S| = p) takes its multipliers
+                # now, where its next evaluation would find its gradient 0
+                check = np.zeros(len(beta), dtype=bool)
+                check[project] = ~batch.basis[project].any(axis=(1, 2))
+                if not check.any():
+                    break
+                enter = reset = np.zeros(len(beta), dtype=bool)
+                hit = np.zeros(len(beta), dtype=bool)
         if done.any():
             for kept, now in zip(out, (beta, value, iterations, cert, overflow & ~face)):
                 kept[index[done]] = now[done]
@@ -520,6 +597,8 @@ def _minimize(batch: _Batch, beta: np.ndarray):
                 return out
             index, beta, stage, taken, iterations, faces, smoothed = (
                 a[running] for a in (index, beta, stage, taken, iterations, faces, smoothed))
+            if known is not None:
+                parts, known = tuple(a[running] for a in parts), known[running]
             batch = batch.subset(running)
 
 

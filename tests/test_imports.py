@@ -36,6 +36,12 @@ def test_import_loads_no_heavy_scipy_subpackage():
     assert scipy_modules(modules) == []
 
 
+def test_import_loads_no_numpy_random():
+    # numpy.random takes about 10 ms to load; the studies load it on first use
+    modules = loaded_modules("import relerr, relerr.cli")
+    assert sorted(m for m in modules if m.startswith("numpy.random")) == []
+
+
 def test_efficiency_laws_load_no_heavy_scipy_subpackage():
     # the constants come from a table, not from quadrature
     modules = loaded_modules(

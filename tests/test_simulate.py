@@ -42,6 +42,11 @@ def small_config(**kw):
     return SimulationConfig(**base)
 
 
+def pair_stream(seed, rep):
+    """The stream of replication ``rep`` of a study seeded with ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence([seed, rep]))
+
+
 class TestConfig:
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ValueError):
@@ -95,12 +100,12 @@ class TestChunkDrawing:
             rngs, x, y, z = simulate._draw_chunk(cfg, reps)
             assert x.shape == (len(reps), 40, 3) and y.shape == z.shape == (len(reps), 40)
             for b, rep in enumerate(reps):
-                data = generate_dataset(cfg, simulate._rep_rng(cfg.seed, rep))
+                data = generate_dataset(cfg, pair_stream(cfg.seed, rep))
                 assert np.array_equal(x[b], data.x)
                 assert np.array_equal(y[b], data.y)
                 assert np.array_equal(z[b], np.log(data.y))
                 # one replication drawn alone: covariates, then errors
-                rng = simulate._rep_rng(cfg.seed, rep)
+                rng = pair_stream(cfg.seed, rep)
                 x_ref = np.hstack([np.ones((40, 1)), rng.standard_normal((40, 2))])
                 eps = Sampler(law).draw(rng, 40)
                 assert np.array_equal(x[b], x_ref)
@@ -252,13 +257,36 @@ class TestPowerStudy:
 
 
 class TestRepStreams:
+    """A chunk's streams, seeded in one pass, are the SeedSequence([seed, rep])
+    streams: the same state and the same draws."""
+
+    @staticmethod
+    def assert_pair_streams(seed, reps):
+        rngs = simulate._rep_rngs(seed, reps)
+        assert len(rngs) == len(reps)
+        for rep, ours in zip(reps, rngs):
+            ref = pair_stream(seed, rep)
+            assert ours.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(ours.random(8), ref.random(8))
+
     @pytest.mark.parametrize("rep", [0, 999, 2**32 + 5])
     @pytest.mark.parametrize("seed", [0, 10, 2**32 - 1, 2**32, 2**64 + 3])
     def test_stream_is_that_of_the_seed_sequence_of_the_pair(self, seed, rep):
-        ours = simulate._rep_rng(seed, rep)
-        ref = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-        assert ours.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(ours.random(8), ref.random(8))
+        self.assert_pair_streams(seed, [rep])
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**96 + 12_345, 2**200 + 7])
+    def test_chunk_streams(self, seed):
+        # above 2**96 the seed alone fills SeedSequence's pool of 4 words,
+        # and the words beyond it are mixed in by the pool's last loop
+        self.assert_pair_streams(seed, range(80, 160))
+
+    @pytest.mark.parametrize("seed", [0, 2**96 + 12_345])
+    def test_chunk_straddling_two_entropy_lengths(self, seed):
+        # the reps below 2**32 have one word, those above two, and 2**64 three
+        self.assert_pair_streams(seed, [*range(2**32 - 40, 2**32 + 40), 2**64])
+
+    def test_an_empty_chunk_has_no_streams(self):
+        assert simulate._rep_rngs(3, range(0)) == []
 
 
 class TestBatchingDeterminism:

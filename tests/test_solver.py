@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -393,15 +394,19 @@ def record_phases(monkeypatch):
     [-1, 1]), "flat face" (a LAD step within a face) and "|S| > p"."""
     seen = set()
     batch, line_search = solver._Batch, solver._line_search
-    parts, project, multipliers = batch.parts, batch.project, batch.multipliers
+    derivatives, hessians = batch._derivatives, batch.hessians
+    project, multipliers = batch.project, batch.multipliers
 
-    def parts_(self, beta, eps):
-        found = parts(self, beta, eps)  # (value, gradient within faces, ...)
-        if 0 < self.face.sum() < len(beta):
-            seen.add("smoothing beside a face")
+    def derivatives_(self, beta, eps):
+        found = derivatives(self, beta, eps)  # (value, gradient within faces, ...)
         if self.criterion.name == "lad_log" and (solver._norm(found[1][self.face]) > 1e-12).any():
             seen.add("flat face")
         return found
+
+    def hessians_(self, d2):  # every loop iteration of a kinked batch, for every row
+        if 0 < self.face.sum() < len(self.z):
+            seen.add("smoothing beside a face")
+        return hessians(self, d2)
 
     def project_(self, beta):
         if ((self.side == 0.0).sum(axis=1) > beta.shape[1]).any():
@@ -414,14 +419,14 @@ def record_phases(monkeypatch):
             seen.add("dropped")
         return found
 
-    def line_search_(batch, search, beta, value, grad, step, slope, eps, cap):
-        beta, t = line_search(batch, search, beta, value, grad, step, slope, eps, cap)
-        if (t == cap).any():
+    def line_search_(batch, search, beta, parts, step, slope, eps, cap):
+        found = line_search(batch, search, beta, parts, step, slope, eps, cap)
+        if (found[1] == cap).any():  # (beta, accepted t, ...)
             seen.add("hit")
-        return beta, t
+        return found
 
-    for name, wrapper in (("parts", parts_), ("project", project_),
-                          ("multipliers", multipliers_)):
+    for name, wrapper in (("_derivatives", derivatives_), ("hessians", hessians_),
+                          ("project", project_), ("multipliers", multipliers_)):
         monkeypatch.setattr(batch, name, wrapper)
     monkeypatch.setattr(solver, "_line_search", line_search_)
     return seen
@@ -537,7 +542,8 @@ class TestBatchBudget:
         def watch(method, extra):
             def watched(batch, *args):
                 out = method(batch, *args)
-                arrays = [a for a in (*vars(batch).values(), *out) if isinstance(a, np.ndarray)]
+                found = out if isinstance(out, tuple) else (out,)
+                arrays = [a for a in (*vars(batch).values(), *found) if isinstance(a, np.ndarray)]
                 arrays += extra(batch)
                 seen.append((len(batch.z), max(a.nbytes for a in arrays)))
                 return out
@@ -552,7 +558,9 @@ class TestBatchBudget:
         # the temporary x * s of the Hessians is (B, n, p)
         stack = lambda batch: [np.broadcast_to(batch.x, (len(batch.z), n, p))]
         gather_ = solver._Batch._gather
-        monkeypatch.setattr(solver._Batch, "parts", watch(solver._Batch.parts, stack))
+        monkeypatch.setattr(solver._Batch, "_derivatives",
+                            watch(solver._Batch._derivatives, lambda b: []))
+        monkeypatch.setattr(solver._Batch, "hessians", watch(solver._Batch.hessians, stack))
         monkeypatch.setattr(solver._Batch, "project", watch(solver._Batch.project, lambda b: []))
         monkeypatch.setattr(solver._Batch, "multipliers",
                             watch(solver._Batch.multipliers, lambda b: []))
@@ -569,3 +577,58 @@ class TestBatchBudget:
         assert max(problems for problems, _ in seen) == size
         assert max(gathered) == n
         assert max(largest for _, largest in seen) <= solver._MMAP_THRESHOLD
+
+
+class TestEvaluationsPerPoint:
+    """A smooth batch evaluates each Newton point once and forms a Hessian
+    only for a row that steps: a row that accepts the first trial of its line
+    search carries that trial's value, gradient and rho'' to its next step,
+    and a certified row leaves the batch before its Hessian."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """(evaluations by (problem, beta, eps), Hessian rows formed) in the fits that follow."""
+        points, hessian_rows = collections.Counter(), []
+        derivatives, value, hessians = (solver._Batch._derivatives, solver._Batch.value,
+                                        solver._Batch.hessians)
+
+        def evaluating(method):
+            def counted_(batch, beta, eps):
+                for z, w, b, e in zip(batch.z, batch.w, beta, eps):
+                    points[z.tobytes(), w.tobytes(), b.tobytes(), float(e)] += 1
+                return method(batch, beta, eps)
+            return counted_
+
+        def hessians_(batch, d2):
+            hessian_rows.append(len(d2))
+            return hessians(batch, d2)
+
+        monkeypatch.setattr(solver._Batch, "_derivatives", evaluating(derivatives))
+        monkeypatch.setattr(solver._Batch, "value", evaluating(value))
+        monkeypatch.setattr(solver._Batch, "hessians", hessians_)
+        return points, hessian_rows
+
+    @staticmethod
+    def problems(shared, p):
+        """BATCH problems: stacked designs, or one design with exponential weights."""
+        if shared:
+            data, _ = correlated_design(p=p)
+            w = np.random.default_rng(p).standard_exponential((BATCH, data.n))
+            return data.x, np.broadcast_to(np.log(data.y), w.shape), w
+        _, x, z = batch_problems(p)
+        return x, z, np.ones(z.shape)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["stacked", "shared"])
+    @pytest.mark.parametrize("p", [3, 13])
+    @pytest.mark.parametrize("name", ["product", "ls_log"])
+    def test_each_point_evaluated_once(self, name, p, shared, monkeypatch):
+        points, hessian_rows = self.counted(monkeypatch)
+        fits = solver._fit_batch(CRITERIA[name], *self.problems(shared, p))
+        assert all(fit.converged for fit in fits)
+        assert max(points.values()) == 1
+        assert sum(hessian_rows) == sum(fit.iterations for fit in fits)
+        if name == "product":
+            assert all(fit.iterations > 0 for fit in fits)
+        else:  # the weighted least-squares start is certified: no Hessian at all
+            assert len(points) == BATCH and hessian_rows == []
+
