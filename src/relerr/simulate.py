@@ -204,10 +204,11 @@ def _draw(config: SimulationConfig, rngs):
     drawn alone would; x and y are checked as a Dataset checks them.
     """
     n, p = config.n, config.p
-    covariates = np.empty((len(rngs), n, p - 1))
-    for block, rng in zip(covariates, rngs):
-        rng.standard_normal(out=block)
-    x = np.concatenate([np.ones((len(rngs), n, 1)), covariates], axis=2)
+    x = np.empty((len(rngs), n, p))
+    x[:, :, 0] = 1.0
+    covariates = np.empty((n, p - 1))  # one buffer, drawn into by every stream
+    for xb, rng in zip(x, rngs):
+        xb[:, 1:] = rng.standard_normal(out=covariates)
     eps = Sampler(config.error_law).draw(rngs, n)
     y = np.exp(x @ np.asarray(config.beta_true)) * eps
     _check_values(x, y)

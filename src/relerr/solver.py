@@ -318,10 +318,11 @@ class _Batch:
             grad[self.face] = _matvec(np.swapaxes(self.basis[self.face], 1, 2), grad[self.face])
         return (self.w * value).sum(axis=1), grad, r, d2
 
-    def hessians(self, d2):
-        """Every row's Hessian from its rho'' (k, n); the temporary x * s is (k, n, p)."""
-        x = self.x
-        return np.swapaxes(x, -1, -2) @ (x * (self.w * d2)[:, :, None])
+    def hessians(self, d2, rows=slice(None)):
+        """The Hessians of the rows ``rows`` from their rho'' d2 (k, n); the
+        temporary x * s is (k, n, p)."""
+        x = self.x if self.x.ndim == 2 else self.x[rows]
+        return np.swapaxes(x, -1, -2) @ (x * (self.w[rows] * d2)[:, :, None])
 
     def _gather(self, on, m):
         """(x, at, used): the design rows of each row's residuals in ``on``
@@ -373,14 +374,13 @@ class _Batch:
         return ok
 
 
-def _line_search(batch: _Batch, search, beta, parts, step, slope, eps, cap):
+def _line_search(batch: _Batch, search, beta, value, grad, step, slope, eps, cap):
     """Armijo backtracking along each row's step, t = t0, t0/2, ... (80
     tries) from t0 = min(1, cap), for the rows of ``batch`` where
-    ``search`` is set; ``parts`` is each row's (value, gradient, residuals,
-    rho'') at beta.  Returns every row's beta, moved to the accepted points;
-    the t accepted for each row, NaN where none was; ``parts``, with the
-    rows that accepted their first trial moved there; and the mask of those
-    rows, or None for a criterion with a kink.
+    ``search`` is set.  Returns every row's beta, moved to the accepted
+    points; the t accepted for each row, NaN where none was; and, without a
+    kink, each row's (value, gradient, residuals, rho'') at its first trial
+    with the mask of the rows that accepted it (None and None with a kink).
 
     Without a kink the first trial is evaluated with its derivatives: damped
     Newton on a smooth convex criterion nearly always accepts t = 1 (every
@@ -388,14 +388,13 @@ def _line_search(batch: _Batch, search, beta, parts, step, slope, eps, cap):
     step needs only its Hessian.  With one the trials take the value alone,
     as smoothed and face steps backtrack far more often (a body-fat fit's
     LAD and LARE smoothing steps accept t = 1 about a third of the time)."""
-    value, grad = parts[:2]
     # Below the rounding noise of the value the Armijo test is
     # meaningless, so such a row backtracks on the gradient norm instead.
     noisy = np.abs(slope) <= 1e-10 * (1.0 + np.abs(value))
     merit = _norm(grad)
     beta, t, accepted_t = beta.copy(), np.minimum(1.0, cap), np.full(len(beta), np.nan)
-    moved = None if batch.kink else np.zeros(len(beta), dtype=bool)
-    first = moved is not None  # this trial is the first, evaluated with its derivatives
+    parts = moved = None
+    first = not batch.kink  # this trial is the first, evaluated with its derivatives
     # the rows still searching (a slice while that is every row), and their batch
     rows, trying = (slice(None), batch) if search.all() else (
         np.flatnonzero(search), batch.subset(np.flatnonzero(search)))
@@ -406,6 +405,13 @@ def _line_search(batch: _Batch, search, beta, parts, step, slope, eps, cap):
             at = trying._derivatives(cand, eps[rows])
             ok = np.where(by_norm, _norm(at[1]) < merit[rows],
                           at[0] <= value[rows] + ARMIJO_C * t[rows] * slope[rows])
+            if ok.all() and isinstance(rows, slice):  # every row takes its first trial
+                return cand, t, at, search
+            moved = np.zeros(len(beta), dtype=bool)
+            moved[np.arange(len(beta))[rows][ok]] = True
+            parts = tuple(np.empty((len(beta),) + a.shape[1:]) for a in at)
+            for kept, now in zip(parts, at):
+                kept[moved] = now[ok]
         else:
             if by_norm.any():
                 ok = _norm(trying._derivatives(cand, eps[rows])[1]) < merit[rows]
@@ -414,20 +420,10 @@ def _line_search(batch: _Batch, search, beta, parts, step, slope, eps, cap):
                 ok = np.where(by_norm, ok, armijo) if by_norm.any() else armijo
         if ok.all():
             beta[rows], accepted_t[rows] = cand, t[rows]
-            if first:
-                if isinstance(rows, slice):
-                    return beta, accepted_t, at, search
-                for kept, now in zip(parts, at):
-                    kept[rows] = now
-                moved[rows] = True
             break
         if ok.any():
             rows = np.arange(len(beta))[rows]
             beta[rows[ok]], accepted_t[rows[ok]] = cand[ok], t[rows[ok]]
-            if first:
-                for kept, now in zip(parts, at):
-                    kept[rows[ok]] = now[ok]
-                moved[rows[ok]] = True
             rows, trying = rows[~ok], trying.subset(np.flatnonzero(~ok))
         first = False
         t = t * 0.5
@@ -517,10 +513,10 @@ def _minimize(batch: _Batch, beta: np.ndarray):
             ended |= cert <= TOL_GRADIENT
             step = np.zeros_like(grad)
             if not ended.all():
-                going = ~ended
-                stepping = batch if going.all() else batch.subset(np.flatnonzero(going))
-                step[going] = _solve(stepping.hessians(d2[going]), -grad[going])
+                going = np.flatnonzero(~ended) if ended.any() else slice(None)
+                step[going] = _solve(batch.hessians(d2[going], going), -grad[going])
             slope = (grad * step).sum(axis=1)
+            parts = r = d2 = None  # free before the line search evaluates the next points
         go = ~ended
         cap, hit = np.full(len(beta), np.inf), np.zeros(len(beta), dtype=bool)  # hit: at a kink
         if on_face:
@@ -538,7 +534,8 @@ def _minimize(batch: _Batch, beta: np.ndarray):
         taken += go
         search = go & ~flat
         if search.any():
-            beta, t, parts, known = _line_search(batch, search, beta, parts, step, slope, eps, cap)
+            beta, t, parts, known = _line_search(batch, search, beta, value, grad, step, slope,
+                                                 eps, cap)
             ended |= search & np.isnan(t)
             hit |= t == cap
         done = overflow & ~face if batch.kink else ended  # a face row's finish fails instead

@@ -403,10 +403,10 @@ def record_phases(monkeypatch):
             seen.add("flat face")
         return found
 
-    def hessians_(self, d2):  # every loop iteration of a kinked batch, for every row
+    def hessians_(self, d2, *rows):  # every loop iteration of a kinked batch, for every row
         if 0 < self.face.sum() < len(self.z):
             seen.add("smoothing beside a face")
-        return hessians(self, d2)
+        return hessians(self, d2, *rows)
 
     def project_(self, beta):
         if ((self.side == 0.0).sum(axis=1) > beta.shape[1]).any():
@@ -419,8 +419,8 @@ def record_phases(monkeypatch):
             seen.add("dropped")
         return found
 
-    def line_search_(batch, search, beta, parts, step, slope, eps, cap):
-        found = line_search(batch, search, beta, parts, step, slope, eps, cap)
+    def line_search_(batch, search, beta, value, grad, step, slope, eps, cap):
+        found = line_search(batch, search, beta, value, grad, step, slope, eps, cap)
         if (found[1] == cap).any():  # (beta, accepted t, ...)
             seen.add("hit")
         return found
@@ -599,9 +599,9 @@ class TestEvaluationsPerPoint:
                 return method(batch, beta, eps)
             return counted_
 
-        def hessians_(batch, d2):
+        def hessians_(batch, d2, *rows):
             hessian_rows.append(len(d2))
-            return hessians(batch, d2)
+            return hessians(batch, d2, *rows)
 
         monkeypatch.setattr(solver._Batch, "_derivatives", evaluating(derivatives))
         monkeypatch.setattr(solver._Batch, "value", evaluating(value))
