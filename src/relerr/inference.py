@@ -28,7 +28,7 @@ import numpy as np
 from . import criteria, solver
 from .criteria import GreCriterion
 from .data import Dataset, check_beta
-from .errors import ConvergenceError, RelerrError, ResamplingError, SingularDesignError
+from .errors import NumericOverflowError, RelerrError, ResamplingError, SingularDesignError
 from .solver import FitResult, LinearHypothesis
 
 _log = logging.getLogger("relerr")
@@ -200,32 +200,32 @@ def _khat(x, z, beta) -> np.ndarray:
 
 def _criterion_gaps(criterion: GreCriterion, x, z, w, basis: np.ndarray):
     """The free fits of problems of one shape (designs x, log responses z
-    and weights w as in ``solver._fit_batch``) and, per problem, the
-    criterion gap max(constrained - free minimum, 0) over the null space
-    spanned by ``basis``, or the error of either fit."""
+    and weights w as in ``solver._fit_batch``); per problem the criterion
+    gap max(constrained - free minimum, 0) over the null space spanned by
+    ``basis``; and the fit each gap stands or falls by: the free fit where
+    that failed, else the constrained one."""
     free = solver._fit_batch(criterion, x, z, w)
     constrained = solver._fit_batch(criterion, x, z, w, basis)
-    return free, [f if isinstance(f, Exception) else c if isinstance(c, Exception)
-                  else max(c.criterion_value - f.criterion_value, 0.0)
-                  for f, c in zip(free, constrained)]
+    with np.errstate(invalid="ignore"):  # inf - inf where a fit overflowed
+        gap = np.maximum(constrained.value - free.value, 0.0)
+    return free, gap, constrained.where(free.failed, free)
 
 
-def _lpre_anova_tests(x, z, hypothesis: LinearHypothesis) -> list:
+def _lpre_anova_tests(x, z, hypothesis: LinearHypothesis):
     """``lpre_anova_test`` of each problem of a stack: designs x (B, n, p)
-    of full rank and log responses z (B, n).  Per problem its TestResult,
-    or the RelerrError it raises."""
-    free, tests = _criterion_gaps(criteria.PRODUCT, x, z, np.ones(z.shape),
-                                  hypothesis.null_basis())
-    fitted = [i for i, gap in enumerate(tests) if not isinstance(gap, Exception)]
-    stat = np.array([tests[i] for i in fitted])
-    k_hat = _khat(x[fitted], z[fitted], np.array([free[i].beta for i in fitted]).reshape(
-        len(fitted), x.shape[2]))
-    p_value = [_chi2_sf(hypothesis.q, float(r)) for r in stat / k_hat]
-    for i, s, k, pv in zip(fitted, stat, k_hat, p_value):
-        tests[i] = (RelerrError("chi-squared scale undefined: all residual ratios are 1")
-                    if np.isnan(k) else TestResult(statistic=float(s), df=hypothesis.q,
-                                                   scale=float(k), p_value=float(pv)))
-    return tests
+    of full rank and log responses z (B, n).  Returns the stacks
+    (statistic, scale, p-value) of the tests, and the RelerrError of each
+    problem whose test fails, by problem."""
+    free, stat, fits = _criterion_gaps(criteria.PRODUCT, x, z, np.ones(z.shape),
+                                       hypothesis.null_basis())
+    errors = fits.errors()
+    k_hat = np.full(len(z), np.nan)
+    fitted = np.flatnonzero(~fits.failed) if errors else slice(None)
+    k_hat[fitted] = _khat(x[fitted], z[fitted], free.beta[fitted])
+    p_value = np.array([_chi2_sf(hypothesis.q, r) for r in (stat / k_hat).tolist()])
+    for b in np.flatnonzero(np.isnan(k_hat) & ~fits.failed):
+        errors[int(b)] = RelerrError("chi-squared scale undefined: all residual ratios are 1")
+    return (stat, k_hat, p_value), errors
 
 
 def lpre_anova_test(data: Dataset, hypothesis: LinearHypothesis) -> TestResult:
@@ -238,7 +238,11 @@ def lpre_anova_test(data: Dataset, hypothesis: LinearHypothesis) -> TestResult:
     _require_residual_dof(data)
     solver._require_full_rank(data)
     solver._null_basis(hypothesis, data)  # checks p against the design
-    return solver._one(_lpre_anova_tests(data.x[None], np.log(data.y)[None], hypothesis))
+    ([stat], [scale], [p_value]), errors = _lpre_anova_tests(
+        data.x[None], np.log(data.y)[None], hypothesis)
+    solver._raise(errors)
+    return TestResult(statistic=float(stat), df=hypothesis.q, scale=float(scale),
+                      p_value=float(p_value))
 
 
 def _criterion(kind) -> GreCriterion:
@@ -250,30 +254,30 @@ def _resample(statistic, n: int, n_resample: int, rng, what: str):
     """statistic(w) over n_resample draws of i.i.d. standard exponential
     weights, all passed at once.
 
-    ``statistic`` maps weights (B, n) to one entry per row: a value, or
-    the RelerrError its fit raised.  A resample whose fit has no
-    certificate is retried once with fresh weights, drawn after the whole
-    batch in resample order, then skipped; other errors are raised.  More
-    than 10% skips raise ResamplingError, fewer than two resamples
-    ValueError.  Returns (values, skipped).
+    ``statistic`` maps weights (B, n) to a stack of values, one per row,
+    and the fits (``solver._Fits``) they stand or fall by.  A resample
+    whose fit has no certificate is retried once with fresh weights, drawn
+    after the whole batch in resample order, then skipped; other errors
+    are raised.  More than 10% skips raise ResamplingError, fewer than two
+    resamples ValueError.  Returns (values of the kept resamples, skipped).
     """
     if n_resample < 2:
         raise ValueError("need at least two resamples")
-    values = statistic(rng.standard_exponential((n_resample, n)))
-    failed = [i for i, value in enumerate(values) if isinstance(value, ConvergenceError)]
-    if failed:
-        retried = statistic(rng.standard_exponential((len(failed), n)))
-        for i, value in zip(failed, retried):
-            values[i] = value
-    for value in values:
-        if isinstance(value, RelerrError) and not isinstance(value, ConvergenceError):
-            raise value
-    kept = [value for value in values if not isinstance(value, ConvergenceError)]
-    skipped = n_resample - len(kept)
+    values, fits = statistic(rng.standard_exponential((n_resample, n)))
+    status = fits.status
+    retry = np.flatnonzero(status == solver.UNCERTIFIED)
+    if retry.size:
+        retried, refits = statistic(rng.standard_exponential((retry.size, n)))
+        values[retry], status = retried, status.copy()
+        status[retry] = refits.status
+    if (status == solver.OVERFLOW).any():
+        raise NumericOverflowError(solver.OVERFLOW_MESSAGE)
+    kept = status == solver.CERTIFIED
+    skipped = n_resample - int(kept.sum())
     if skipped > 0.1 * n_resample:
         raise ResamplingError(
             f"{skipped}/{n_resample} resample fits failed; {what} unreliable")
-    return kept, skipped
+    return values[kept], skipped
 
 
 def random_weight_covariance(
@@ -300,10 +304,10 @@ def random_weight_covariance(
 
     def estimates(w):
         fits = solver._fit_batch(criterion, data.x, np.broadcast_to(z, w.shape), w)
-        return [fit if isinstance(fit, Exception) else fit.beta for fit in fits]
+        return fits.beta, fits
 
     betas, skipped = _resample(estimates, data.n, n_resample, rng, "covariance")
-    cov = np.atleast_2d(np.cov(np.array(betas), rowvar=False))
+    cov = np.atleast_2d(np.cov(betas, rowvar=False))
     return CovarianceEstimate(cov=cov, method="random_weighting", n_skipped=skipped)
 
 
@@ -336,12 +340,12 @@ def gre_anova_test(
         return _criterion_gaps(criterion, data.x, np.broadcast_to(z, w.shape), w, basis)
 
     z = np.log(data.y)
-    [free], gap = gaps(z, np.ones((1, data.n)))
-    observed = solver._one(gap)
-    centred = z - data.x @ free.beta
-    stats, _ = _resample(lambda w: gaps(centred, w)[1], data.n, n_resample, rng,
-                         "calibration")
-    null_draws = np.asarray(stats)
+    free, [observed], fits = gaps(z, np.ones((1, data.n)))
+    solver._raise(fits.errors())
+    observed = float(observed)
+    centred = z - data.x @ free.beta[0]
+    null_draws, _ = _resample(lambda w: gaps(centred, w)[1:], data.n, n_resample, rng,
+                              "calibration")
     p_value = float((1 + np.sum(null_draws >= observed)) / (1 + null_draws.size))
     scale = float(np.mean(null_draws)) / hypothesis.q
     return TestResult(statistic=observed, df=hypothesis.q,
@@ -368,26 +372,27 @@ class Estimator:
             return ols_log_covariance(fit, data)
         return random_weight_covariance(self.criterion, data, resamples, rng)
 
-    def _standard_errors(self, betas, x, y, z, resamples: int, rngs) -> list:
+    def _standard_errors(self, betas, x, y, z, resamples: int, rngs):
         """``covariance_of(...).standard_errors()`` of fits of one shape:
         estimates betas (B, p) on designs x (B, n, p) of full rank with
-        responses y (B, n) and log responses z (B, n).  Per fit its SEs,
-        or the RelerrError it raises; the plug-in SEs of the whole stack
-        are one square root of the stacked diagonals."""
+        responses y (B, n) and log responses z (B, n).  Returns the SEs
+        (B, p), NaN where they fail, and the RelerrError of each fit whose
+        SEs fail, by fit; the plug-in SEs of the whole stack are one square
+        root of the stacked diagonals."""
         if self.covariance == "random_weighting":
-            out = []
-            for xb, yb, rng in zip(x, y, rngs):
+            se, errors = np.full(betas.shape, np.nan), {}
+            for b, (xb, yb, rng) in enumerate(zip(x, y, rngs)):
                 try:
-                    out.append(random_weight_covariance(
-                        self.criterion, Dataset(xb, yb), resamples, rng).standard_errors())
+                    se[b] = random_weight_covariance(
+                        self.criterion, Dataset(xb, yb), resamples, rng).standard_errors()
                 except RelerrError as exc:
-                    out.append(exc)
-            return out
+                    errors[b] = exc
+            return se, errors
         cov = _sandwich_stack(x, z, betas)[0] if self.covariance == "sandwich" \
             else _ols_stack(x, z, betas)
-        se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-        return [SingularDesignError(_SINGULAR[self.covariance]) if singular else s
-                for singular, s in zip(np.isnan(cov).any(axis=(1, 2)), se)]
+        return np.sqrt(np.diagonal(cov, axis1=1, axis2=2)), {
+            int(b): SingularDesignError(_SINGULAR[self.covariance])
+            for b in np.flatnonzero(np.isnan(cov).any(axis=(1, 2)))}
 
 
 #: every estimator, by the names the CLI, the study configs and the

@@ -12,8 +12,11 @@ stacked designs and responses (the rejection sampler runs its accept
 test once per round for the whole chunk), then one stacked
 rank check, one batched fit per estimator, and the sandwich and OLS
 standard errors of the chunk as one stack; a random-weighting covariance
-passes its replication's resamples to the solver at once.  With
-``n_jobs`` > 1 a process pool maps the chunks.
+passes its replication's resamples to the solver at once.  A chunk's
+estimates, standard errors and p-values stay stacked arrays from the
+solver's record to the written table; only a replication that fails
+gets an object, its RelerrError.  With ``n_jobs`` > 1 a process pool
+maps the chunks.
 
 Determinism contract: the per-replication RNG stream is that of
 numpy's SeedSequence([seed, replication index]), and each replication
@@ -174,24 +177,22 @@ def _width(k: int) -> int:
     return max(1, -(-k.bit_length() // 32))
 
 
-def _words(k: int, count: int) -> list:
-    """The first ``count`` little-endian 32-bit words of k >= 0."""
-    return [k >> 32 * j & 0xFFFF_FFFF for j in range(count)]
-
-
 def _rep_rngs(seed: int, reps) -> list:
     """The streams of SeedSequence([seed, rep]) for each rep of ``reps``,
     seeded in one pass over the chunk per entropy length: the reps below
-    2^32 make one group, those below 2^64 the next, and so on."""
+    2^32 make one group, those below 2^64 the next, and so on.  A group's
+    entropy, the seed's 32-bit words and then the rep's, is read from one
+    run of little-endian bytes."""
     generator, pcg64 = _pcg64()
     reps = list(reps)
+    head = seed.to_bytes(4 * _width(seed), "little")
     width = [_width(rep) for rep in reps]
     rngs = [None] * len(reps)
     for count in set(width):
         group = [i for i, w in enumerate(width) if w == count]
-        entropy = np.array([_words(seed, _width(seed)) + _words(reps[i], count) for i in group],
-                           dtype=np.uint32)
-        for i, words in zip(group, _seed_states(entropy)):
+        entropy = np.frombuffer(b"".join([head + reps[i].to_bytes(4 * count, "little")
+                                          for i in group]), dtype="<u4")
+        for i, words in zip(group, _seed_states(entropy.reshape(len(group), -1))):
             rngs[i] = generator(pcg64(_State(words)))
     return rngs
 
@@ -230,55 +231,64 @@ def _draw_chunk(config: SimulationConfig, reps):
     return rngs, x, y, np.log(y)
 
 
+def _live(errors: dict, count: int):
+    """The replications of a chunk of ``count`` that have no error in
+    ``errors``: all of them, as a slice, while none has."""
+    if not errors:
+        return slice(None)
+    live = np.ones(count, dtype=bool)
+    live[list(errors)] = False
+    return np.flatnonzero(live)
+
+
+def _merge(errors: dict, live, failed: dict):
+    """Add to ``errors`` the errors ``failed`` of the replications ``live``
+    (as ``_live`` gives them), which are keyed by their place among them."""
+    for b, error in failed.items():
+        errors[b if isinstance(live, slice) else int(live[b])] = error
+
+
 def _estimation_chunk(config: SimulationConfig, reps):
-    """Replications ``reps`` as one batch: per replication, beta-hat and
-    reported SEs by estimator, or the RelerrError it raised.
+    """Replications ``reps`` as one batch: the RelerrError of each
+    replication that failed, by its place in the chunk, and the stack
+    (B, estimators, 2, p) of each replication's beta-hat and reported SEs
+    by estimator (NaN where none).
 
     Each replication draws its data and then, in estimator order, its
     random weights from its own stream, as a replication run alone would.
     """
     rngs, x, y, z = _draw_chunk(config, reps)
-    outcomes = solver._rank_errors(x)
-    out = [{} for _ in reps]
-    for name in config.estimators:
-        live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-        if not live:
+    count = len(reps)
+    errors = solver._rank_errors(x)
+    out = np.full((count, len(config.estimators), 2, config.p), np.nan)
+    for e, name in enumerate(config.estimators):
+        if len(errors) == count:
             break
         est = inference.ESTIMATORS[name]
-        fits = solver._fit_batch(est.criterion, x[live], z[live], np.ones((len(live), config.n)))
-        for i, fit in zip(live, fits):
-            if isinstance(fit, RelerrError):
-                outcomes[i] = fit
-            else:
-                out[i][name] = (fit.beta, None)
-        if not config.compute_see:
+        live = _live(errors, count)
+        fits = solver._fit_batch(est.criterion, x[live], z[live],
+                                 np.ones((count - len(errors), config.n)))
+        out[live, e, 0] = fits.beta
+        _merge(errors, live, fits.errors())
+        if not config.compute_see or len(errors) == count:
             continue
-        live = [i for i in live if outcomes[i] is None]
-        sees = est._standard_errors(np.array([out[i][name][0] for i in live]),
-                                    x[live], y[live], z[live],
-                                    config.resample_size, [rngs[i] for i in live])
-        for i, see in zip(live, sees):
-            if isinstance(see, RelerrError):
-                outcomes[i] = see
-            else:
-                out[i][name] = (out[i][name][0], see)
-    return [result if outcome is None else outcome for outcome, result in zip(outcomes, out)]
-
-
-def _chunk_outcomes(task, config, reps):
-    """task(config, reps), or its error for every replication of the chunk."""
-    try:
-        return task(config, reps)
-    except RelerrError as exc:
-        return [exc] * len(reps)
+        live = _live(errors, count)
+        se, failed = est._standard_errors(
+            np.ascontiguousarray(out[live, e, 0]), x[live], y[live], z[live],
+            config.resample_size, rngs if not errors else [rngs[i] for i in live])
+        out[live, e, 1] = se
+        _merge(errors, live, failed)
+    return errors, out
 
 
 def _run_reps(task, config, n_jobs):
     """Run task(config, reps) over chunks of replications and return the
-    results of those that did not fail, in replication order.
+    values of those that did not fail, in replication order.
 
-    ``task`` returns per replication of its chunk a result or the
-    RelerrError it raised.  The chunks are sized by the solver's batch
+    ``task`` returns the RelerrError of each replication of its chunk that
+    failed, by its place in the chunk, and a stack of values with one row
+    per replication; the stacks of the chunks are concatenated and the
+    failed rows dropped.  The chunks are sized by the solver's batch
     budget; with ``n_jobs`` > 1 a process pool maps them.  Failed
     replications are logged as one warning on the ``relerr`` logger; more
     than 1% of them raise RelerrError.
@@ -288,14 +298,11 @@ def _run_reps(task, config, n_jobs):
               for start in range(0, config.replications, size)]
     if n_jobs and n_jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = pool.map(_chunk_outcomes, itertools.repeat(task),
-                                itertools.repeat(config), chunks)
-            outcomes = [outcome for chunk in outcomes for outcome in chunk]
+            outcomes = list(pool.map(task, itertools.repeat(config), chunks))
     else:
-        outcomes = [outcome for chunk in chunks
-                    for outcome in _chunk_outcomes(task, config, chunk)]
-    failures = collections.Counter(type(outcome).__name__ for outcome in outcomes
-                                   if isinstance(outcome, RelerrError))
+        outcomes = [task(config, chunk) for chunk in chunks]
+    failures = collections.Counter(type(error).__name__ for errors, _ in outcomes
+                                   for error in errors.values())
     failed = sum(failures.values())
     if failed:
         _log.warning("%d/%d replications failed (%s)", failed, config.replications,
@@ -304,7 +311,7 @@ def _run_reps(task, config, n_jobs):
         raise RelerrError(
             f"{failed}/{config.replications} replications failed"
         )
-    return [outcome for outcome in outcomes if not isinstance(outcome, RelerrError)]
+    return np.concatenate([np.delete(values, list(errors), axis=0) for errors, values in outcomes])
 
 
 def run_estimation_study(
@@ -314,11 +321,9 @@ def run_estimation_study(
     reps = _run_reps(_estimation_chunk, config, n_jobs)
     beta_true = np.asarray(config.beta_true)
     rows = []
-    for est in config.estimators:
-        betas = np.array([r[est][0] for r in reps])
-        sees = None
-        if config.compute_see:
-            sees = np.array([r[est][1] for r in reps])
+    for e, est in enumerate(config.estimators):
+        betas = reps[:, e, 0].copy()
+        sees = reps[:, e, 1].copy() if config.compute_see else None
         for j in range(config.p):
             bias = float(np.mean(betas[:, j]) - beta_true[j])
             se = float(np.std(betas[:, j], ddof=1)) if len(reps) > 1 else 0.0
@@ -335,14 +340,17 @@ def run_estimation_study(
 
 def _power_chunk(hypothesis: LinearHypothesis, config, reps):
     """The criterion-difference test of ``hypothesis`` on each replication
-    of a chunk: its p-value, or the RelerrError it raised."""
+    of a chunk: the RelerrError of each replication that failed, by its
+    place in the chunk, and the p-values (NaN where none)."""
     _, x, _, z = _draw_chunk(config, reps)
-    outcomes = solver._rank_errors(x)
-    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    tests = inference._lpre_anova_tests(x[live], z[live], hypothesis)
-    for i, test in zip(live, tests):
-        outcomes[i] = test if isinstance(test, RelerrError) else test.p_value
-    return outcomes
+    count = len(reps)
+    errors = solver._rank_errors(x)
+    live = _live(errors, count)
+    (_, _, tested), failed = inference._lpre_anova_tests(x[live], z[live], hypothesis)
+    p_value = np.full(count, np.nan)
+    p_value[live] = tested
+    _merge(errors, live, failed)
+    return errors, p_value
 
 
 def _check_levels(alphas):
@@ -385,7 +393,7 @@ def run_power_study(
     for g, beta in enumerate(beta_grid):
         # distinct seed stream per grid point, still fully deterministic
         cfg = replace(config, beta_true=tuple(beta), seed=config.seed + 1_000_003 * g)
-        pvals = np.asarray(_run_reps(task, cfg, n_jobs))
+        pvals = _run_reps(task, cfg, n_jobs)
         for alpha in alpha_levels:
             rows.append(PowerRow(tuple(float(b) for b in beta), float(alpha),
                                  float(np.mean(pvals < alpha))))

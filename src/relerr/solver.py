@@ -43,8 +43,12 @@ derivatives, which a problem that accepts it carries to its next step,
 and a problem whose certificate holds leaves before its Hessian.  The
 Monte Carlo studies and random weighting fit their replications and
 resamples this way, in batches sized by the largest array a batch
-allocates, (B, n, p) (``_batch_size``); the public ``fit_*`` functions
-are the batch of one.
+allocates, (B, n, p) (``_batch_size``).  A batch returns its fits as one
+stacked record (``_Fits``), from which a problem's FitResult, or the
+error of a failed fit, is built only when asked for; the public
+``fit_*`` functions are the batch of one.  The rank check of a stack of
+designs screens them by the eigenvalues of X'X and leaves the decision
+on any design it does not clear to the SVD (``_rank_errors``).
 """
 
 from __future__ import annotations
@@ -85,6 +89,67 @@ class FitResult:
     iterations: int
     converged: bool
     criterion: str
+
+
+#: how the fit of a problem of a batch ended, in ``_Fits.status``
+CERTIFIED, UNCERTIFIED, OVERFLOW = 0, 1, 2
+OVERFLOW_MESSAGE = "criterion overflows at the starting point"
+
+
+@dataclass(frozen=True)
+class _Fits:
+    """The fits of a batch of B problems, stacked: beta (B, p) and per
+    problem its criterion value, certificate, iterations and status (no
+    certificate, or overflow at the start, for a failed fit).  A FitResult,
+    or the error of a failed fit, is built only when asked for."""
+
+    criterion: str
+    beta: np.ndarray
+    value: np.ndarray
+    certificate: np.ndarray
+    iterations: np.ndarray
+    status: np.ndarray
+
+    @property
+    def arrays(self) -> tuple:
+        return self.beta, self.value, self.certificate, self.iterations, self.status
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.status != CERTIFIED
+
+    def result(self, b) -> FitResult:
+        return FitResult(self.beta[b], float(self.value[b]), float(self.certificate[b]),
+                         int(self.iterations[b]), bool(self.status[b] == CERTIFIED),
+                         self.criterion)
+
+    def error(self, b):
+        """The error the fit of problem b raises, None if it is certified."""
+        if self.status[b] == OVERFLOW:
+            return NumericOverflowError(OVERFLOW_MESSAGE)
+        if self.status[b] == UNCERTIFIED:
+            fit = self.result(b)
+            return ConvergenceError(
+                f"{fit.criterion} fit has no optimality certificate after {fit.iterations} "
+                f"iterations (residual {fit.gradient_norm:.3g} > {TOL_GRADIENT:g} and "
+                f"above rounding)", fit)
+        return None
+
+    def errors(self) -> dict:
+        """The errors of the failed fits, by problem."""
+        return {int(b): self.error(b) for b in np.flatnonzero(self.failed)}
+
+    def where(self, mask, other: "_Fits") -> "_Fits":
+        """These fits, with those of ``other`` where ``mask`` is set."""
+        if not mask.any():
+            return self
+        return _Fits(self.criterion, *(
+            np.where(mask if mine.ndim == 1 else mask[:, None], theirs, mine)
+            for mine, theirs in zip(self.arrays, other.arrays)))
+
+    @classmethod
+    def concatenate(cls, parts: list) -> "_Fits":
+        return cls(parts[0].criterion, *map(np.concatenate, zip(*(f.arrays for f in parts))))
 
 
 @dataclass(frozen=True)
@@ -165,16 +230,44 @@ def check_design(data: Dataset) -> DesignReport:
                         smallest_singular_value=float(sv[0, -1]))
 
 
-def _rank_errors(x: np.ndarray) -> list:
-    """For each design of a stack (B, n, p), from one stacked SVD: None if
-    it has full column rank, else its SingularDesignError."""
-    p = x.shape[2]
-    return [None if rank == p else SingularDesignError(
-        f"design matrix has rank {rank} < p = {p}") for rank in _ranks(x)[0]]
+def _rank_errors(x: np.ndarray) -> dict:
+    """The designs of a stack (B, n, p) without full column rank, by index:
+    {b: SingularDesignError}.  The ranks are those of ``_ranks``, but only
+    the designs that a screen by the eigenvalues of X'X does not clear (one
+    stacked product and one stacked ``eigvalsh``) go to its SVD."""
+    _, n, p = x.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.ascontiguousarray(np.swapaxes(x, 1, 2)) @ x
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    if not finite.all():
+        gram[~finite] = 0.0  # all eigenvalues 0: never cleared
+    eig = np.linalg.eigvalsh(gram)
+    # The SVD keeps singular values above s_max m eps, m = max(n, p).  A
+    # design cleared by l_min > c l_max with l_min > tiny has full rank by
+    # that cut too.  The computed X'X is within n eps |X|'|X| of the exact
+    # one entrywise, so within m p eps l_max in norm (||X|'|X||| <= ||X||_F^2
+    # <= p s_max^2); underflow adds at most n p eps tiny, no more, as l_max >
+    # tiny.  ``eigvalsh`` is backward stable (a few p eps l_max more), and
+    # the eigenvalues of a symmetric matrix move by at most the norm of its
+    # perturbation (Weyl).  So with c = 1e3 m p eps or more the exact s_min^2
+    # = l_min > 990 m p eps s_max^2, and s_min / s_max > sqrt(990 m p eps),
+    # hundreds of times the cut m eps (and the SVD's error) for any m < 1e13.
+    cut = max(1e-6, 1e3 * max(n, p) * p * np.finfo(float).eps)
+    judged = np.flatnonzero(~(eig[:, 0] > np.maximum(cut * eig[:, -1], np.finfo(float).tiny)))
+    if not judged.size:
+        return {}
+    return {int(b): SingularDesignError(f"design matrix has rank {rank} < p = {p}")
+            for b, rank in zip(judged, _ranks(x[judged])[0]) if rank < p}
+
+
+def _raise(errors: dict):
+    """Raise the first error of ``errors``, if there is one."""
+    for error in errors.values():
+        raise error
 
 
 def _require_full_rank(data: Dataset):
-    _one(_rank_errors(data.x[None]))
+    _raise(_rank_errors(data.x[None]))
 
 
 def _null_basis(hypothesis: LinearHypothesis, data: Dataset) -> np.ndarray:
@@ -182,14 +275,6 @@ def _null_basis(hypothesis: LinearHypothesis, data: Dataset) -> np.ndarray:
     if hypothesis.p != data.p:
         raise ValueError("hypothesis dimension does not match the design")
     return hypothesis.null_basis()
-
-
-def _one(entries: list):
-    """The single entry of a batch of one; raised if it is an error."""
-    [entry] = entries
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
 
 
 # glibc serves a block above its mmap threshold (128 KiB at start) with
@@ -605,29 +690,28 @@ def _fit_batch(
     z: np.ndarray,
     w: np.ndarray,
     basis: Optional[np.ndarray] = None,
-) -> list:
+) -> _Fits:
     """Fit B problems of one shape (n, p), in batches of ``_batch_size``.
 
     ``x`` is (B, n, p), or (n, p) for problems that share one design;
     ``z = log y`` and ``w`` are (B, n).  With ``basis``, an orthonormal
     basis of a hypothesis null space, the fits run on x @ basis.  The
-    caller checks the rank.  Returns per problem its FitResult, or the
-    ConvergenceError or NumericOverflowError its fit raises.
+    caller checks the rank.  Returns the fits stacked, the batches'
+    arrays concatenated in problem order.
     """
     count, n = z.shape
     p = x.shape[-1]
-    if not count:
-        return []
     size = _batch_size(n, p)
     if count > size:
-        return [fit for s in range(0, count, size) for fit in _fit_batch(
+        return _Fits.concatenate([_fit_batch(
             criterion, x if x.ndim == 2 else x[s:s + size], z[s:s + size],
-            w[s:s + size], basis)]
+            w[s:s + size], basis) for s in range(0, count, size)])
+    if not count or basis is not None and basis.shape[1] == 0:
+        # no problems, or H'b = 0 leaves b = 0 alone
+        return _Fits(criterion.name, np.zeros((count, p)), np.sum(w * criterion.rho(z), axis=1),
+                     np.full(count, np.nan), np.zeros(count, dtype=int),
+                     np.full(count, CERTIFIED))
     if basis is not None:
-        if basis.shape[1] == 0:  # H'b = 0 leaves b = 0 alone
-            value = np.sum(w * criterion.rho(z), axis=1)
-            return [FitResult(np.zeros(p), float(v), float("nan"), 0, True, criterion.name)
-                    for v in value]
         x = x @ basis
     batch = _Batch(criterion, x, z, w)
     xtw = np.swapaxes(x, -1, -2) * w[:, None, :]
@@ -648,19 +732,9 @@ def _fit_batch(
             value = np.sum(w * criterion.rho(z - _matvec(x, coef)), axis=1)
         cert[~np.isfinite(cert)] = np.inf
         converged = batch.certified(coef, cert)
-    beta = coef if basis is None else coef @ basis.T
-    fits = []
-    for b in range(count):
-        if overflow[b]:
-            fits.append(NumericOverflowError("criterion overflows at the starting point"))
-            continue
-        fit = FitResult(beta[b], float(value[b]), float(cert[b]), int(iterations[b]),
-                        bool(converged[b]), criterion.name)
-        fits.append(fit if fit.converged else ConvergenceError(
-            f"{criterion.name} fit has no optimality certificate after {fit.iterations} "
-            f"iterations (residual {fit.gradient_norm:.3g} > {TOL_GRADIENT:g} and "
-            f"above rounding)", fit))
-    return fits
+    status = np.where(overflow, OVERFLOW, np.where(converged, CERTIFIED, UNCERTIFIED))
+    return _Fits(criterion.name, coef if basis is None else coef @ basis.T, value, cert,
+                 iterations, status)
 
 
 def _fit(
@@ -673,7 +747,9 @@ def _fit(
     _require_full_rank(data)
     w = np.ones(data.n) if weights is None else np.asarray(weights, dtype=float)
     basis = None if hypothesis is None else _null_basis(hypothesis, data)
-    return _one(_fit_batch(criterion, data.x, np.log(data.y)[None], w[None], basis))
+    fits = _fit_batch(criterion, data.x, np.log(data.y)[None], w[None], basis)
+    _raise(fits.errors())
+    return fits.result(0)
 
 
 def fit_gre(

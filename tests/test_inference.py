@@ -10,7 +10,7 @@ from relerr.criteria import PRODUCT, SUM
 from relerr.data import Dataset
 from relerr.distributions import ErrorLaw, Sampler, population_constants
 from relerr import solver
-from relerr.errors import ConvergenceError, RelerrError, ResamplingError
+from relerr.errors import RelerrError, ResamplingError
 from relerr.inference import (
     ESTIMATORS,
     _chi2_sf,
@@ -251,10 +251,10 @@ class TestRandomWeighting:
             # resamples are fitted as batches: fail resample 0 in the first
             # batch and again in the batch of its retry
             fits = fit_batch(*args, **kwargs)
-            calls.extend(fits)
+            calls.extend(fits.status)
             batches.append(None)
             if len(batches) <= 2:
-                fits[0] = ConvergenceError("no certificate")
+                fits.status[0] = solver.UNCERTIFIED
             return fits
 
         monkeypatch.setattr(solver, "_fit_batch", first_two_fail)

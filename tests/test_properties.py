@@ -14,11 +14,11 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from relerr import solver
 from relerr.criteria import CRITERIA
 from relerr.data import Dataset
 from relerr.solver import LinearHypothesis, fit_gre
 
+from conftest import fit_batch
 from test_solver import kkt_residual, lad_minimum
 
 ROWS = sorted(CRITERIA)
@@ -61,7 +61,7 @@ def test_batch_equals_certified_single_fits(problem):
     basis = None if hypothesis is None else hypothesis.null_basis()
     x = np.stack([d.x for d in datasets])
     z = np.log(np.stack([d.y for d in datasets]))
-    fits = solver._fit_batch(criterion, x, z, w, basis=basis)
+    fits = fit_batch(criterion, x, z, w, basis=basis)
     for data, wb, fit in zip(datasets, w, fits):
         # a returned fit is certified: within tol_gradient or the rounding floor
         assert not isinstance(fit, Exception), fit

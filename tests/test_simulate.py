@@ -1,4 +1,5 @@
 import csv
+import functools
 import logging
 import math
 import re
@@ -25,6 +26,7 @@ from relerr.simulate import (
     write_metrics_csv,
     write_power_csv,
 )
+from relerr.solver import LinearHypothesis
 
 
 def small_config(**kw):
@@ -168,8 +170,10 @@ class TestEstimationStudy:
         chunk_task = simulate._estimation_chunk
 
         def one_fails(config, reps):
-            return [ConvergenceError("no certificate") if rep == 17 else outcome
-                    for rep, outcome in zip(reps, chunk_task(config, reps))]
+            errors, values = chunk_task(config, reps)
+            if 17 in reps:
+                errors[reps.index(17)] = ConvergenceError("no certificate")
+            return errors, values
 
         monkeypatch.setattr(simulate, "_estimation_chunk", one_fails)
         cfg = small_config(replications=200, n=30, estimators=("lpre",),
@@ -182,6 +186,34 @@ class TestEstimationStudy:
         assert "1/200" in record.getMessage()
         assert "ConvergenceError: 1" in record.getMessage()
 
+
+    @pytest.mark.parametrize("study", ["estimation", "power"])
+    def test_failed_fits_fail_their_replications_alone(self, study, monkeypatch, caplog):
+        # the solver's record of the first batch reports replication 3 without
+        # a certificate and replication 5 overflowing; the chunk builds their
+        # errors, the warning counts them by type, and every other replication
+        # keeps its values
+        cfg = small_config(replications=200, n=30, estimators=("lpre",), compute_see=False)
+        task = (simulate._estimation_chunk if study == "estimation" else functools.partial(
+            simulate._power_chunk, LinearHypothesis.zero_coefs([2], cfg.p)))
+        clean = simulate._run_reps(task, cfg, None)
+        fit_batch, calls = solver._fit_batch, []
+
+        def two_fail(*args, **kwargs):
+            fits = fit_batch(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 1:
+                fits.status[[3, 5]] = solver.UNCERTIFIED, solver.OVERFLOW
+            return fits
+
+        monkeypatch.setattr(solver, "_fit_batch", two_fail)
+        with caplog.at_level(logging.WARNING, logger="relerr"):
+            values = simulate._run_reps(task, cfg, None)
+        np.testing.assert_array_equal(values, np.delete(clean, [3, 5], axis=0))
+        [record] = caplog.records
+        assert record.name == "relerr" and record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            "2/200 replications failed (ConvergenceError: 1, NumericOverflowError: 1)")
 
     def test_singular_replication_fails_alone(self, monkeypatch, caplog):
         # the chunk's one stacked rank check flags replication 4 only

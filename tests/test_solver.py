@@ -1,5 +1,6 @@
 import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from relerr.solver import (
     fit_ls_log,
 )
 
-from conftest import lad_log_loss, lpre_gradient, lpre_loss, minimize_from, random_dataset
+from conftest import (fit_batch, lad_log_loss, lpre_gradient, lpre_loss, minimize_from,
+                      random_dataset)
 
 
 class TestFitLpre:
@@ -98,6 +100,69 @@ class TestDesignChecks:
         report = check_design(data)
         assert not report.singular
         assert report.rank == data.p
+
+
+class TestRankScreen:
+    """``_rank_errors`` screens designs by the eigenvalues of X'X and sends
+    the ones it does not clear to the SVD of ``_ranks``; its decision is the
+    SVD's on every design."""
+
+    @staticmethod
+    def designs(p, n=40):
+        """Designs (B, n, p) with s_min / s_max from 1e-1 down to 1e-16 (and
+        around the SVD's cut n * eps), a repeated column, a zero column,
+        columns and designs scaled by 1e+-150, and a design scaled beyond
+        underflow and one whose X'X overflows."""
+        rng = np.random.default_rng(p)
+        out = []
+        for ratio in [*10.0 ** -np.arange(1, 17), 3e-14, 9e-15, 8e-15, 5e-15]:
+            u = np.linalg.qr(rng.standard_normal((n, p)))[0]
+            v = np.linalg.qr(rng.standard_normal((p, p)))[0]
+            out.append(u * np.geomspace(1.0, ratio, p) @ v.T)
+        base = rng.standard_normal((n, p))
+        out.append(base)
+        for scale in (1e150, 1e-150, 1e-161, 1e160):
+            out.append(base * scale)
+            column = base.copy()
+            column[:, -1] *= scale
+            out.append(column)
+        repeated, zero = base.copy(), base.copy()
+        repeated[:, -1] = base[:, 0]
+        zero[:, -1] = 0.0
+        return np.stack(out + [repeated, zero])
+
+    @pytest.mark.parametrize("p", [1, 3, 13])
+    def test_decisions_are_the_svds(self, p, monkeypatch):
+        x = self.designs(p)
+        ranks = solver._ranks(x)[0]
+        judged = []
+        ranks_ = solver._ranks
+
+        def counted(xs):
+            judged.append(len(xs))
+            return ranks_(xs)
+
+        monkeypatch.setattr(solver, "_ranks", counted)
+        errors = solver._rank_errors(x)
+        assert {b: str(e) for b, e in errors.items()} == {
+            b: f"design matrix has rank {r} < p = {p}" for b, r in enumerate(ranks) if r < p}
+        assert all(isinstance(e, SingularDesignError) for e in errors.values())
+        # both decisions occur, and the screen clears some designs itself
+        assert 0 < len(errors) < len(x)
+        assert judged and judged[0] < len(x)
+
+    def test_screen_clears_every_table1_design(self, monkeypatch):
+        from relerr import simulate
+
+        def no_svd(x):
+            raise AssertionError("a design went to the SVD")
+
+        config = simulate.load_config(
+            Path(__file__).parents[1] / "configs" / "table1_lognormal.cfg")["config"]
+        monkeypatch.setattr(solver, "_ranks", no_svd)
+        for start in (0, 80, 160):
+            _, x, _, _ = simulate._draw_chunk(config, range(start, start + 80))
+            assert solver._rank_errors(x) == {}
 
 
 class TestConstrainedFit:
@@ -438,7 +503,7 @@ class TestBatchEqualsSingleFits:
     def test_unweighted(self, name, p):
         # the Monte Carlo studies: one design per problem
         datasets, x, z = batch_problems(p)
-        fits = solver._fit_batch(CRITERIA[name], x, z, np.ones(z.shape))
+        fits = fit_batch(CRITERIA[name], x, z, np.ones(z.shape))
         for data, fit in zip(datasets, fits):
             single = fit_gre(CRITERIA[name], data)
             np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
@@ -451,7 +516,7 @@ class TestBatchEqualsSingleFits:
         data, _ = correlated_design(p=p)
         w = np.random.default_rng(p).standard_exponential((BATCH, data.n))
         z = np.broadcast_to(np.log(data.y), w.shape)
-        fits = solver._fit_batch(CRITERIA[name], data.x, z, w)
+        fits = fit_batch(CRITERIA[name], data.x, z, w)
         for weights, fit in zip(w, fits):
             single = fit_gre(CRITERIA[name], data, weights=weights)
             # each row's products are those of its fit alone, bit for bit
@@ -464,7 +529,7 @@ class TestBatchEqualsSingleFits:
         datasets, x, z = batch_problems(p)
         hyp = LinearHypothesis.zero_coefs([2] if p == 3 else [2, 7], p)
         w = np.random.default_rng(p).standard_exponential(z.shape)
-        fits = solver._fit_batch(CRITERIA[name], x, z, w, basis=hyp.null_basis())
+        fits = fit_batch(CRITERIA[name], x, z, w, basis=hyp.null_basis())
         for data, weights, fit in zip(datasets, w, fits):
             single = fit_gre(CRITERIA[name], data, weights=weights, hypothesis=hyp)
             np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
@@ -482,7 +547,7 @@ class TestBatchEqualsSingleFits:
         exact = Dataset(data.x, np.exp(data.x @ beta))
         z = np.log(np.vstack([np.tile(data.y, (20, 1)), exact.y]))
         w = np.vstack([rng.standard_exponential((20, data.n)), np.ones(data.n)])
-        fits = solver._fit_batch(CRITERIA[name], data.x, z, w)
+        fits = fit_batch(CRITERIA[name], data.x, z, w)
         events = {"smoothing beside a face", "dropped", "|S| > p"}
         assert events | {"flat face" if name == "lad_log" else "hit"} <= seen
         for dataset, weights, fit in zip([data] * 20 + [exact], w, fits):
@@ -498,14 +563,14 @@ class TestBatchEqualsSingleFits:
         datasets, x, z = batch_problems(13)
         z[1:] = (x[1:] @ np.linspace(1.0, -0.2, 13)[:, None])[:, :, 0]
         w = np.ones(z.shape)
-        fits = solver._fit_batch(SUM, x, z, w)
+        fits = fit_batch(SUM, x, z, w)
         assert isinstance(fits[0], ConvergenceError)
         assert fits[0].result.gradient_norm > solver.TOL_GRADIENT
         with pytest.raises(ConvergenceError) as info:
             fit_gre(SUM, datasets[0])
         np.testing.assert_allclose(fits[0].result.beta, info.value.result.beta,
                                    rtol=0, atol=1e-10)
-        alone = solver._fit_batch(SUM, x[1:], z[1:], w[1:])
+        alone = fit_batch(SUM, x[1:], z[1:], w[1:])
         for fit, ref in zip(fits[1:], alone):
             assert fit.converged
             np.testing.assert_array_equal(fit.beta, ref.beta)
@@ -572,7 +637,7 @@ class TestBatchBudget:
         x = x[0] if shared else x
         z = (x @ rng.uniform(-0.2, 0.2, (size + 1, p, 1)))[:, :, 0]
         w = rng.standard_exponential(z.shape)
-        fits = solver._fit_batch(CRITERIA["lad_log"], x, z, w)  # a full batch and one more
+        fits = fit_batch(CRITERIA["lad_log"], x, z, w)  # a full batch and one more
         assert all(fit.converged for fit in fits)
         assert max(problems for problems, _ in seen) == size
         assert max(gathered) == n
@@ -623,7 +688,7 @@ class TestEvaluationsPerPoint:
     @pytest.mark.parametrize("name", ["product", "ls_log"])
     def test_each_point_evaluated_once(self, name, p, shared, monkeypatch):
         points, hessian_rows = self.counted(monkeypatch)
-        fits = solver._fit_batch(CRITERIA[name], *self.problems(shared, p))
+        fits = fit_batch(CRITERIA[name], *self.problems(shared, p))
         assert all(fit.converged for fit in fits)
         assert max(points.values()) == 1
         assert sum(hessian_rows) == sum(fit.iterations for fit in fits)
