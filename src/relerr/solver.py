@@ -431,18 +431,28 @@ class _Batch:
         """For rows on a face: the exact KKT residual at beta, and the multipliers
         (least squares) of the residuals of S that are 0 to rounding, with their
         indices.  The subgradient holds every other residual at its sign, or at
-        its side where it is 0 to rounding."""
+        its side where it is 0 to rounding.  A row's design rows of S are
+        padded to max(p, |S|), and the rows of each padded size take their own
+        stacked SVD, so that a row's bits do not depend on the rows checked
+        with it."""
         x, w, side, r = self.x, self.w, self.side, self._residuals(beta)
         zero = np.abs(r) <= 1e3 * np.finfo(float).eps * (
             np.abs(self.z) + _matvec(np.abs(x), np.abs(beta)))
         sign = np.where(zero, side, np.sign(r))
         sub = -_matvec(np.swapaxes(x, -1, -2), w * (self.sigma(r)[1] + self.kink * sign))
         on = zero & (side == 0.0)
-        size = on.sum(axis=1)
-        xs, at, _ = self._gather(on, max(1, size.max()))
+        size = np.maximum(on.sum(axis=1), beta.shape[1])
+        xs, at, _ = self._gather(on, size.max())
         a = self.kink * np.swapaxes(xs * w[at][:, :, None], 1, 2)
-        u = _least_squares(a, sub, np.maximum(size, beta.shape[1]))[0]
-        return _norm(sub - _matvec(a, u)), u, at[1]
+        if size.min() == size.max():
+            u = _least_squares(a, sub, size)[0]
+            return _norm(sub - _matvec(a, u)), u, at[1]
+        kkt, u = np.empty(len(beta)), np.zeros(at[1].shape)
+        for m in np.unique(size):
+            rows = size == m
+            u[rows, :m] = _least_squares(a[rows, :, :m], sub[rows], size[rows])[0]
+            kkt[rows] = _norm(sub[rows] - _matvec(a[rows, :, :m], u[rows, :m]))
+        return kkt, u, at[1]
 
     def certified(self, beta, cert) -> np.ndarray:
         """Whether each row's certificate is within ``TOL_GRADIENT``, or

@@ -507,6 +507,7 @@ class TestBatchEqualsSingleFits:
         for data, fit in zip(datasets, fits):
             single = fit_gre(CRITERIA[name], data)
             np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
+            assert fit.gradient_norm == single.gradient_norm
             assert fit.gradient_norm <= solver.TOL_GRADIENT
 
     @pytest.mark.parametrize("p", [3, 13])
@@ -521,6 +522,7 @@ class TestBatchEqualsSingleFits:
             single = fit_gre(CRITERIA[name], data, weights=weights)
             # each row's products are those of its fit alone, bit for bit
             np.testing.assert_array_equal(fit.beta, single.beta)
+            assert fit.gradient_norm == single.gradient_norm
             assert fit.gradient_norm <= solver.TOL_GRADIENT
 
     @pytest.mark.parametrize("p", [3, 13])
@@ -533,6 +535,7 @@ class TestBatchEqualsSingleFits:
         for data, weights, fit in zip(datasets, w, fits):
             single = fit_gre(CRITERIA[name], data, weights=weights, hypothesis=hyp)
             np.testing.assert_allclose(fit.beta, single.beta, rtol=0, atol=1e-10)
+            assert fit.gradient_norm == single.gradient_norm
             assert fit.gradient_norm <= solver.TOL_GRADIENT
 
     @pytest.mark.parametrize("name", sorted(KINKED))
