@@ -38,9 +38,9 @@ It forms (B, p, p) Hessians by batched matmul and takes batched solves;
 every problem keeps its own smoothing stage, line search, overflow
 restart, certificate and iteration count, and is frozen once it is done,
 so it ends where it would have ended alone.  Without a kink each point
-is evaluated once: a line search's first trial is evaluated with its
-derivatives, which a problem that accepts it carries to its next step,
-and a problem whose certificate holds leaves before its Hessian.  The
+is evaluated once: every trial of a line search is evaluated with its
+derivatives, which the accepted one carries to the next step, and a
+problem whose certificate holds leaves before its Hessian.  The
 Monte Carlo studies and random weighting fit their replications and
 resamples this way, in batches sized by the largest array a batch
 allocates, (B, n, p) (``_batch_size``).  A batch returns its fits as one
@@ -474,68 +474,47 @@ def _line_search(batch: _Batch, search, beta, value, grad, step, slope, eps, cap
     tries) from t0 = min(1, cap), for the rows of ``batch`` where
     ``search`` is set.  Returns every row's beta, moved to the accepted
     points; the t accepted for each row, NaN where none was; and, without a
-    kink, each row's (value, gradient, residuals, rho'') at its first trial
-    with the mask of the rows that accepted it (None and None with a kink).
+    kink, each searched row's (value, gradient, residuals, rho'') at its
+    accepted point (None with a kink).
 
-    Without a kink the first trial is evaluated with its derivatives: damped
-    Newton on a smooth convex criterion nearly always accepts t = 1 (every
-    line search of the Table 1 and power studies does), and then the next
-    step needs only its Hessian.  With one the trials take the value alone,
-    as smoothed and face steps backtrack far more often (a body-fat fit's
-    LAD and LARE smoothing steps accept t = 1 about a third of the time)."""
+    Without a kink every trial is evaluated with its derivatives, so that
+    the next step needs only its Hessian.  With one a trial takes the value
+    alone, as the face check may yet move the point or change its stage or
+    face; a trial where some row backtracks on the gradient norm takes the
+    derivatives instead, and the value with them."""
     # Below the rounding noise of the value the Armijo test is
     # meaningless, so such a row backtracks on the gradient norm instead.
     noisy = np.abs(slope) <= 1e-10 * (1.0 + np.abs(value))
     merit = _norm(grad)
     beta, t, accepted_t = beta.copy(), np.minimum(1.0, cap), np.full(len(beta), np.nan)
-    parts = moved = None
-    first = not batch.kink  # this trial is the first, evaluated with its derivatives
+    parts = None
     # the rows still searching (a slice while that is every row), and their batch
     rows, trying = (slice(None), batch) if search.all() else (
         np.flatnonzero(search), batch.subset(np.flatnonzero(search)))
     for _ in range(80):
         cand = beta[rows] + t[rows, None] * step[rows]
         by_norm = noisy[rows]
-        if first:
+        bound = value[rows] + ARMIJO_C * t[rows] * slope[rows]
+        if batch.kink and not by_norm.any():
+            ok = trying.value(cand, eps[rows]) <= bound
+        else:  # _derivatives' value is ``value``'s, bit for bit
             at = trying._derivatives(cand, eps[rows])
-            ok = np.where(by_norm, _norm(at[1]) < merit[rows],
-                          at[0] <= value[rows] + ARMIJO_C * t[rows] * slope[rows])
-            if ok.all() and isinstance(rows, slice):  # every row takes its first trial
-                return cand, t, at, search
-            moved = np.zeros(len(beta), dtype=bool)
-            moved[np.arange(len(beta))[rows][ok]] = True
-            parts = tuple(np.empty((len(beta),) + a.shape[1:]) for a in at)
-            for kept, now in zip(parts, at):
-                kept[moved] = now[ok]
-        else:
-            if by_norm.any():
-                ok = _norm(trying._derivatives(cand, eps[rows])[1]) < merit[rows]
-            if not by_norm.all():
-                armijo = trying.value(cand, eps[rows]) <= value[rows] + ARMIJO_C * t[rows] * slope[rows]
-                ok = np.where(by_norm, ok, armijo) if by_norm.any() else armijo
-        if ok.all():
-            beta[rows], accepted_t[rows] = cand, t[rows]
-            break
+            ok = np.where(by_norm, _norm(at[1]) < merit[rows], at[0] <= bound)
+        if ok.all() and isinstance(rows, slice):  # every row takes this trial
+            return cand, t, None if batch.kink else at
         if ok.any():
             rows = np.arange(len(beta))[rows]
-            beta[rows[ok]], accepted_t[rows[ok]] = cand[ok], t[rows[ok]]
+            took = rows[ok]
+            beta[took], accepted_t[took] = cand[ok], t[took]
+            if not batch.kink:
+                parts = parts or tuple(np.empty((len(beta),) + a.shape[1:]) for a in at)
+                for kept, now in zip(parts, at):
+                    kept[took] = now[ok]
+            if ok.all():
+                break
             rows, trying = rows[~ok], trying.subset(np.flatnonzero(~ok))
-        first = False
         t = t * 0.5
-    return beta, accepted_t, parts, moved
-
-
-def _evaluate(batch: _Batch, beta, eps, parts, known):
-    """Each row's (value, gradient, residuals, rho'') at its beta and eps:
-    ``parts`` where ``known`` is set, afresh elsewhere (everywhere if
-    ``known`` is None)."""
-    if known is None or not known.any():
-        return batch._derivatives(beta, eps)
-    if not known.all():
-        rows = np.flatnonzero(~known)
-        for kept, now in zip(parts, batch.subset(rows)._derivatives(beta[rows], eps[rows])):
-            kept[rows] = now
-    return parts
+    return beta, accepted_t, parts
 
 
 def _minimize(batch: _Batch, beta: np.ndarray):
@@ -551,12 +530,12 @@ def _minimize(batch: _Batch, beta: np.ndarray):
     pivot does.  Then the multipliers of S come by least squares: a row with
     one outside [-1, 1] drops it and stays on the face, and otherwise the KKT
     residual is its certificate.  A face with no free direction (|S| = p)
-    takes no step, so its multipliers come right after its projection.  A
+    has gradient 0 within it, so its steps end at its first evaluation.  A
     row needing over ``MAX_ITERATIONS`` faces fails.
 
-    A smooth row evaluates each point once: if it accepts the first trial of
-    its line search it carries that trial's derivatives to its next step
-    (see ``_line_search``), and it leaves before its Hessian once certified.
+    A smooth row evaluates each point once: it carries the derivatives of
+    the trial its line search accepts to its next step (see
+    ``_line_search``), and it leaves before its Hessian once certified.
 
     Returns (beta, value, iterations, certificate, overflow) per row, where
     ``overflow`` marks the rows whose criterion overflowed at the start of
@@ -574,15 +553,12 @@ def _minimize(batch: _Batch, beta: np.ndarray):
     iterations = np.zeros(count, dtype=int)
     # the faces of the current finish, and where the smoothing stage before it ended
     faces, smoothed = np.zeros(count, dtype=int), beta.copy()
-    # (value, gradient, residuals, rho'') of each row at its point, stage and
-    # face, known where ``known`` is set: where a smooth row accepted the
-    # first trial of its line search, which evaluated them
-    parts = known = None
+    parts = None  # each row's (value, gradient, residuals, rho'') if its line search has them
     while True:
         # every running row is at a new point, in a new stage or on a new face
         eps = stages[stage]
-        parts = _evaluate(batch, beta, eps, parts, known)
-        value, grad, r, d2 = parts
+        value, grad, r, d2 = batch._derivatives(beta, eps) if parts is None else parts
+        parts = None
         face, on_face = batch.face, batch.on_face
         overflow = ~(value < np.inf)
         ended = overflow | (taken >= MAX_ITERATIONS)
@@ -611,7 +587,7 @@ def _minimize(batch: _Batch, beta: np.ndarray):
                 going = np.flatnonzero(~ended) if ended.any() else slice(None)
                 step[going] = _solve(batch.hessians(d2[going], going), -grad[going])
             slope = (grad * step).sum(axis=1)
-            parts = r = d2 = None  # free before the line search evaluates the next points
+            r = d2 = None  # free before the line search evaluates the next points
         go = ~ended
         cap, hit = np.full(len(beta), np.inf), np.zeros(len(beta), dtype=bool)  # hit: at a kink
         if on_face:
@@ -629,8 +605,7 @@ def _minimize(batch: _Batch, beta: np.ndarray):
         taken += go
         search = go & ~flat
         if search.any():
-            beta, t, parts, known = _line_search(batch, search, beta, value, grad, step, slope,
-                                                 eps, cap)
+            beta, t, parts = _line_search(batch, search, beta, value, grad, step, slope, eps, cap)
             ended |= search & np.isnan(t)
             hit |= t == cap
         done = overflow & ~face if batch.kink else ended  # a face row's finish fails instead
@@ -648,39 +623,29 @@ def _minimize(batch: _Batch, beta: np.ndarray):
             if on_face:
                 batch.side[hit, nearest[hit]] = 0.0
             # a row whose steps on its face ended gets the multipliers of S
-            check, reset = ended & face, ended
-            while True:
-                if check.any():
-                    rows = np.flatnonzero(check)
-                    kkt, u, residual = batch.subset(rows).multipliers(beta[rows])
-                    worst = (np.arange(rows.size), np.abs(u).argmax(axis=1))
-                    largest = np.abs(u[worst])
-                    cert[rows] = np.where(largest <= 1.0, kkt, np.nan)  # NaN certifies nothing
-                    drop = (largest > 1.0) & np.isfinite(kkt)
-                    batch.side[rows[drop], residual[worst][drop]] = np.sign(u[worst][drop])
-                    hit[rows[drop]] = True
-                if check.any() or hit.any():
-                    finished = check & ~hit | hit & (faces >= MAX_ITERATIONS)
-                    hit &= ~finished
-                    end = np.flatnonzero(finished)
-                    done[end] |= (stage[end] == last) | batch.subset(end).certified(beta[end], cert[end])
-                    back = finished & ~done  # to the next stage, from where the last one ended
-                    beta[back], stage[back], batch.side[back] = smoothed[back], stage[back] + 1, np.nan
-                    batch.faces_changed()
-                taken[reset | hit] = 0
-                project = np.flatnonzero(enter | hit)
-                if not project.size:
-                    break
+            check = ended & face
+            if check.any():
+                rows = np.flatnonzero(check)
+                kkt, u, residual = batch.subset(rows).multipliers(beta[rows])
+                worst = (np.arange(rows.size), np.abs(u).argmax(axis=1))
+                largest = np.abs(u[worst])
+                cert[rows] = np.where(largest <= 1.0, kkt, np.nan)  # NaN certifies nothing
+                drop = (largest > 1.0) & np.isfinite(kkt)
+                batch.side[rows[drop], residual[worst][drop]] = np.sign(u[worst][drop])
+                hit[rows[drop]] = True
+            if check.any() or hit.any():
+                finished = check & ~hit | hit & (faces >= MAX_ITERATIONS)
+                hit &= ~finished
+                end = np.flatnonzero(finished)
+                done[end] |= (stage[end] == last) | batch.subset(end).certified(beta[end], cert[end])
+                back = finished & ~done  # to the next stage, from where the last one ended
+                beta[back], stage[back], batch.side[back] = smoothed[back], stage[back] + 1, np.nan
+                batch.faces_changed()
+            taken[ended | hit] = 0
+            project = np.flatnonzero(enter | hit)
+            if project.size:
                 beta[project], batch.basis[project] = batch.subset(project).project(beta[project])
                 faces[project] += 1
-                # a face with no free direction (|S| = p) takes its multipliers
-                # now, where its next evaluation would find its gradient 0
-                check = np.zeros(len(beta), dtype=bool)
-                check[project] = ~batch.basis[project].any(axis=(1, 2))
-                if not check.any():
-                    break
-                enter = reset = np.zeros(len(beta), dtype=bool)
-                hit = np.zeros(len(beta), dtype=bool)
         if done.any():
             for kept, now in zip(out, (beta, value, iterations, cert, overflow & ~face)):
                 kept[index[done]] = now[done]
@@ -689,8 +654,8 @@ def _minimize(batch: _Batch, beta: np.ndarray):
                 return out
             index, beta, stage, taken, iterations, faces, smoothed = (
                 a[running] for a in (index, beta, stage, taken, iterations, faces, smoothed))
-            if known is not None:
-                parts, known = tuple(a[running] for a in parts), known[running]
+            if parts is not None:
+                parts = tuple(a[running] for a in parts)
             batch = batch.subset(running)
 
 

@@ -647,11 +647,54 @@ class TestBatchBudget:
         assert max(largest for _, largest in seen) <= solver._MMAP_THRESHOLD
 
 
+class TestLineSearch:
+    """Without a kink every trial of the line search is evaluated with its
+    derivatives, and each searched row's are returned at its accepted point;
+    with one, a trial that takes them reads its Armijo value from them."""
+
+    @staticmethod
+    def problems():
+        """Three problems of ``batch_problems`` and their least-squares fits."""
+        _, x, z = batch_problems(3)
+        x, z = x[:3], z[:3]
+        xt = np.swapaxes(x, 1, 2)
+        return x, z, np.linalg.solve(xt @ x, xt @ z[:, :, None])[:, :, 0]
+
+    def test_parts_at_accepted_points_after_a_rejected_trial(self):
+        # Damped Newton on LPRE accepts t = 1 even from far away, so one row's
+        # step is stretched 20-fold for t = 1 to fail the Armijo test.
+        x, z, beta = self.problems()
+        batch = solver._Batch(PRODUCT, x, z, np.ones(z.shape))
+        eps = np.zeros(3)
+        value, grad, _, d2 = batch._derivatives(beta, eps)
+        step = solver._solve(batch.hessians(d2), -grad)
+        step[1] *= 20.0
+        slope = (grad * step).sum(axis=1)
+        moved, t, parts = solver._line_search(batch, np.ones(3, dtype=bool), beta, value, grad,
+                                              step, slope, eps, np.full(3, np.inf))
+        assert t[0] == t[2] == 1.0 and 0.0 < t[1] < 1.0
+        np.testing.assert_array_equal(moved, beta + t[:, None] * step)
+        for got, want in zip(parts, batch._derivatives(moved, eps)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(CRITERIA))
+    def test_derivatives_value_is_the_value(self, name):
+        # smoothing rows at two widths and a row on a face
+        x, z, beta = self.problems()
+        w = np.random.default_rng(1).standard_exponential(z.shape)
+        batch = solver._Batch(CRITERIA[name], x, z, w)
+        r = batch._residuals(beta)
+        batch.side[2] = np.where(np.arange(z.shape[1]) < 3, 0.0, np.sign(r[2]))
+        batch.faces_changed()
+        eps = np.array([1e-1, 1e-6, 1e-6])
+        np.testing.assert_array_equal(batch._derivatives(beta, eps)[0], batch.value(beta, eps))
+
+
 class TestEvaluationsPerPoint:
     """A smooth batch evaluates each Newton point once and forms a Hessian
-    only for a row that steps: a row that accepts the first trial of its line
-    search carries that trial's value, gradient and rho'' to its next step,
-    and a certified row leaves the batch before its Hessian."""
+    only for a row that steps: a row carries the value, gradient and rho''
+    of the trial its line search accepts to its next step, and a certified
+    row leaves the batch before its Hessian."""
 
     @staticmethod
     def counted(monkeypatch):
