@@ -18,6 +18,12 @@ def runner():
     return CliRunner()
 
 
+def read_csv(path) -> list:
+    """The rows of a CSV file as dicts, the file closed."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_csv(path, x_cols, y, response="y"):
     names = list(x_cols) + [response]
     n = len(y)
@@ -48,8 +54,7 @@ class TestFit:
             "fit", "--input", str(path), "--response", "y",
             "--criterion", "lpre", "--output", str(out)])
         assert result.exit_code == 0, result.output
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
+        rows = read_csv(out)
         assert [r["coef"] for r in rows] == ["intercept", "x1", "x2"]
         # estimates must match the library fit exactly
         x = np.column_stack([np.ones_like(x1), x1, x2])
@@ -79,8 +84,8 @@ class TestFit:
                 "fit", "--input", str(path), "--response", "y",
                 "--output", str(out), "--pvalue", kind])
             assert r.exit_code == 0
-        p1 = [float(r["p_value"]) for r in csv.DictReader(open(out1))]
-        p2 = [float(r["p_value"]) for r in csv.DictReader(open(out2))]
+        p1 = [float(r["p_value"]) for r in read_csv(out1)]
+        p2 = [float(r["p_value"]) for r in read_csv(out2)]
         np.testing.assert_allclose(p2, [2 * v for v in p1], rtol=1e-9)
 
     @pytest.mark.parametrize("column", ["x1", "y"])
@@ -142,7 +147,7 @@ class TestFit:
         r = runner.invoke(main, [
             "fit", "--input", str(path), "--response", "y", "--output", str(out)])
         assert r.exit_code == 0, r.output
-        [row] = list(csv.DictReader(open(out)))
+        [row] = read_csv(out)
         assert row["coef"] == "intercept"
         y = np.array([float(f"{v:.10g}") for v in y])  # as written to the CSV
         expected = 0.5 * np.log(np.sum(y) / np.sum(1.0 / y))
@@ -231,7 +236,7 @@ class TestSimulate:
         r = runner.invoke(main, [
             "simulate", "--config", str(cfg), "--output", str(out)])
         assert r.exit_code == 0, r.output
-        rows = list(csv.DictReader(open(out)))
+        rows = read_csv(out)
         assert len(rows) == 2
         assert {row["estimator"] for row in rows} == {"lpre"}
 
@@ -264,7 +269,7 @@ class TestSimulate:
         r = runner.invoke(main, [
             "simulate", "--config", str(cfg), "--output", str(out)])
         assert r.exit_code == 0, r.output
-        rows = list(csv.DictReader(open(out)))
+        rows = read_csv(out)
         assert len(rows) == 2
         assert float(rows[1]["reject_rate"]) >= float(rows[0]["reject_rate"])
 
@@ -394,7 +399,7 @@ class TestPredict:
             "--response", "y", "--criterion", "lpre", "--criterion", "ls",
             "--output", str(out)])
         assert r.exit_code == 0, r.output
-        rows = list(csv.DictReader(open(out)))
+        rows = read_csv(out)
         assert [row["method"] for row in rows] == ["lpre", "ls"]
         for row in rows:
             for key in ("mpe", "mppe", "mape", "mspe"):
@@ -407,7 +412,7 @@ class TestPredict:
             "predict", "--input", str(path), "--split", "80", "--response", "y",
             "--criterion", "gre:max", "--output", str(out)])
         assert r.exit_code == 0, r.output
-        [row] = list(csv.DictReader(open(out)))
+        [row] = read_csv(out)
         assert row["method"] == "gre:max" and float(row["mape"]) > 0
 
     def test_train_test_mode_matches_split(self, runner, tmp_path, data_csv):

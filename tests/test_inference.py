@@ -10,11 +10,13 @@ from relerr.criteria import PRODUCT, SUM
 from relerr.data import Dataset
 from relerr.distributions import ErrorLaw, Sampler, population_constants
 from relerr import solver
-from relerr.errors import RelerrError, ResamplingError
+from relerr.errors import NumericOverflowError, RelerrError, ResamplingError, SingularDesignError
 from relerr.inference import (
     ESTIMATORS,
     _chi2_sf,
     _normal_sf,
+    _ols_stack,
+    _sandwich_stack,
     gre_anova_test,
     lpre_anova_test,
     ols_log_covariance,
@@ -143,6 +145,41 @@ class TestOlsCovariance:
         np.testing.assert_allclose(cov.cov, ref, rtol=1e-10)
 
 
+class TestSingularPlugIn:
+    """Plug-in covariances whose matrix to invert is singular: a design
+    with a zero column."""
+
+    @staticmethod
+    def stack(rng):
+        """Three designs (40, 3), the middle one singular, their log y and LS fits."""
+        datasets = [random_dataset(rng, n=40)[0] for _ in range(3)]
+        x = np.stack([d.x for d in datasets])
+        x[1, :, 2] = 0.0
+        z = np.log(np.stack([d.y for d in datasets]))
+        beta = np.stack([np.linalg.lstsq(xb, zb, rcond=None)[0] for xb, zb in zip(x, z)])
+        return x, z, beta
+
+    @pytest.mark.parametrize("covariances", [lambda *a: _sandwich_stack(*a)[0], _ols_stack],
+                             ids=["sandwich", "ols"])
+    def test_singular_matrix_is_nan_alone(self, rng, covariances):
+        x, z, beta = self.stack(rng)
+        cov = covariances(x, z, beta)
+        assert np.isnan(cov[1]).all()
+        for b in (0, 2):
+            [alone] = covariances(x[b:b + 1], z[b:b + 1], beta[b:b + 1])
+            np.testing.assert_array_equal(cov[b], alone)
+
+    @pytest.mark.parametrize("covariance, message", [
+        (sandwich_covariance, "plug-in D matrix is singular"),
+        (ols_log_covariance, "X'X is singular"),
+    ], ids=["sandwich", "ols"])
+    def test_singular_design_raises(self, rng, covariance, message):
+        x, z, beta = self.stack(rng)
+        fit = FitResult(beta[1], 0.0, 0.0, 0, True, "product")
+        with pytest.raises(SingularDesignError, match=message):
+            covariance(fit, Dataset(x[1], np.exp(z[1])))
+
+
 class TestAnovaTest:
     def test_true_null_large_sample_p_uniformish(self):
         # beta_2 = 0 truly; statistic / k should look chi2(1)
@@ -262,6 +299,21 @@ class TestRandomWeighting:
                                        rng=np.random.default_rng(9))
         assert est.n_skipped == 1
         assert len(calls) == 21
+
+
+    def test_overflowing_resample_raises(self, monkeypatch):
+        data, _ = big_dataset(4, n=120)
+        fit_batch = solver._fit_batch
+
+        def overflows(*args, **kwargs):
+            fits = fit_batch(*args, **kwargs)
+            fits.status[0] = solver.OVERFLOW
+            return fits
+
+        monkeypatch.setattr(solver, "_fit_batch", overflows)
+        with pytest.raises(NumericOverflowError, match=solver.OVERFLOW_MESSAGE):
+            random_weight_covariance("lpre", data, n_resample=20,
+                                     rng=np.random.default_rng(9))
 
 
 class TestGreAnova:

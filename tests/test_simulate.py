@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relerr import simulate, solver
+from relerr import inference, simulate, solver
 from relerr.distributions import EFFICIENT_KINDS, ErrorLaw, Sampler, population_constants
-from relerr.errors import ConvergenceError, RelerrError
+from relerr.errors import ConvergenceError, RelerrError, ResamplingError, SingularDesignError
 from relerr.simulate import (
     METRICS_HEADER,
     POWER_HEADER,
@@ -214,6 +214,64 @@ class TestEstimationStudy:
         assert record.name == "relerr" and record.levelno == logging.WARNING
         assert record.getMessage() == (
             "2/200 replications failed (ConvergenceError: 1, NumericOverflowError: 1)")
+
+    def test_failed_random_weighting_fails_its_replication_alone(self, monkeypatch, caplog):
+        # the random-weighting SEs of replication 3 raise; its replication
+        # fails, counted by the error's type, and the others keep their values
+        cfg = small_config(replications=100, n=12, resample_size=4, estimators=("lad",))
+        clean = simulate._run_reps(simulate._estimation_chunk, cfg, None)
+        covariance, calls = inference.random_weight_covariance, []
+
+        def fourth_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise ResamplingError("2/4 resample fits failed; covariance unreliable")
+            return covariance(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "random_weight_covariance", fourth_fails)
+        with caplog.at_level(logging.WARNING, logger="relerr"):
+            values = simulate._run_reps(simulate._estimation_chunk, cfg, None)
+        np.testing.assert_array_equal(values, np.delete(clean, 3, axis=0))
+        [record] = caplog.records
+        assert record.getMessage() == "1/100 replications failed (ResamplingError: 1)"
+
+    def test_more_than_one_percent_failing_raises(self, monkeypatch, caplog):
+        # 3 of 200 failed replications are over the 1% limit
+        fit_batch = solver._fit_batch
+
+        def three_fail(*args, **kwargs):
+            fits = fit_batch(*args, **kwargs)
+            fits.status[[3, 5, 8]] = solver.UNCERTIFIED
+            return fits
+
+        monkeypatch.setattr(solver, "_fit_batch", three_fail)
+        cfg = small_config(replications=200, n=30, estimators=("lpre",), compute_see=False)
+        with caplog.at_level(logging.WARNING, logger="relerr"), \
+                pytest.raises(RelerrError, match=r"^3/200 replications failed$"):
+            simulate._run_reps(simulate._estimation_chunk, cfg, None)
+        [record] = caplog.records
+        assert record.getMessage() == "3/200 replications failed (ConvergenceError: 3)"
+
+    def test_chunk_of_singular_designs_fits_nothing(self, monkeypatch):
+        # every design of the chunk fails its rank check, so no estimator
+        # fits or estimates SEs
+        draw_chunk = simulate._draw_chunk
+
+        def all_singular(config, reps):
+            rngs, x, y, z = draw_chunk(config, reps)
+            x[:, :, 2] = x[:, :, 1]
+            return rngs, x, y, z
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a chunk without a live replication fitted")
+
+        monkeypatch.setattr(simulate, "_draw_chunk", all_singular)
+        monkeypatch.setattr(solver, "_fit_batch", no_fit)
+        cfg = small_config(replications=5, n=30)
+        errors, values = simulate._estimation_chunk(cfg, range(5))
+        assert sorted(errors) == list(range(5))
+        assert all(isinstance(error, SingularDesignError) for error in errors.values())
+        assert values.shape == (5, 2, 2, 3) and np.isnan(values).all()
 
     def test_singular_replication_fails_alone(self, monkeypatch, caplog):
         # the chunk's one stacked rank check flags replication 4 only
