@@ -444,7 +444,7 @@ class _Batch:
         size = np.maximum(on.sum(axis=1), beta.shape[1])
         xs, at, _ = self._gather(on, size.max())
         a = self.kink * np.swapaxes(xs * w[at][:, :, None], 1, 2)
-        if size.min() == size.max():
+        if size.min() == size.max():  # the usual case, without the loop's copies
             u = _least_squares(a, sub, size)[0]
             return _norm(sub - _matvec(a, u)), u, at[1]
         kkt, u = np.empty(len(beta)), np.zeros(at[1].shape)
